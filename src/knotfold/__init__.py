@@ -12,12 +12,10 @@ from .alexander import ProjectionDiagram, alexander, project, same_knot_certific
 from .bounds import (
     BoundValue,
     Certificate,
-    EdgeCensus,
     PiExpr,
     Provenance,
     certify,
     comparator_bounds,
-    edge_census,
     rop_step_bound,
     step_bound,
     theorem_len_bound,
@@ -35,9 +33,11 @@ from .grid import (
     validate_grid,
 )
 from .lattice import (
+    EdgeCensus,
     FoldReport,
     LatticeKnot,
     canonicalize,
+    edge_census,
     fold_horizontal,
     fold_vertical,
     parse_lattice,

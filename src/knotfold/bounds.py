@@ -14,16 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CrossingTooSmall, SizeTooSmall
-from .lattice import (  # re-exported: census lives with the lattice types
-    EdgeCensus,
-    LatticeKnot,
-    edge_census,
-    validate_lattice,
-)
+from .lattice import EdgeCensus, LatticeKnot, edge_census, validate_lattice
 
 __all__ = [
-    "EdgeCensus",
-    "edge_census",
     "PiExpr",
     "BoundValue",
     "TheoremBound",

@@ -24,7 +24,7 @@ from .bounds import (
     theorem_len_bound,
     theorem_rop_bound,
 )
-from .errors import KnotfoldError
+from .errors import KnotfoldError, MalformedInput
 from .grid import GridDiagram, grid_to_planar, parse_grid, random_grid
 from .lattice import parse_lattice, serialize_lattice, validate_lattice
 from .laurent import LaurentPoly
@@ -150,7 +150,7 @@ def cmd_build(args) -> int:
                 report_lines.append(
                     f"  fold {r.fold_axis} side {r.side} line {r.fold_line}: "
                     f"overlap removed {r.removed_overlap_edges}, z removed {r.removed_z_edges}, "
-                    f"z re-raised {r.reraised_z_edges}, broken sticks {r.broken_sticks_reconnected} "
+                    f"broken sticks {r.broken_sticks_reconnected} "
                     f"(+{r.added_y_edges}y +{r.added_z_edges}z)"
                 )
         (out / f"{spec.label}.reports.txt").write_text("\n".join(report_lines) + "\n")
@@ -199,9 +199,20 @@ def _certify_spec(spec: InputSpec, max_step: int):
     return certificates
 
 
+def _provenance_int(prov: dict, key: str) -> int | None:
+    """An integer provenance field of a lattice file, or None when absent."""
+    if key not in prov:
+        return None
+    value = prov[key]
+    try:
+        if isinstance(value, (int, str)) and not isinstance(value, bool):
+            return int(value)
+    except ValueError:
+        pass
+    raise MalformedInput(f"provenance {key} must be an integer, not {value!r}")
+
+
 def cmd_certify(args) -> int:
-    if args.table:
-        return cmd_table(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     all_pass = True
@@ -209,8 +220,8 @@ def cmd_certify(args) -> int:
         for path in args.lattice:
             knot, prov = parse_lattice(Path(path).read_text())
             label = prov.get("source", Path(path).stem)
-            g = int(prov.get("g", 0)) or None
-            step = int(prov.get("step", 0)) or None
+            g = _provenance_int(prov, "g") or None
+            step = _provenance_int(prov, "step") or None
             if g is None:
                 report = validate_lattice(knot)
                 ok = report.ok
@@ -223,13 +234,9 @@ def cmd_certify(args) -> int:
                     label=label,
                     g=g,
                     step=step,
-                    crossing_number=int(prov["crossing_number"])
-                    if "crossing_number" in prov
-                    else None,
+                    crossing_number=_provenance_int(prov, "crossing_number"),
                     nonalternating_prime=prov.get("nonalternating_prime") == "true",
-                    known_minimum_edges=int(prov["known_minimum_edges"])
-                    if "known_minimum_edges" in prov
-                    else None,
+                    known_minimum_edges=_provenance_int(prov, "known_minimum_edges"),
                 ),
             )
             print(cert.render_text())
@@ -294,7 +301,7 @@ def _crossing_range(text: str) -> tuple[int, int]:
 
 
 def cmd_table(args) -> int:
-    lo, hi = args.table if args.table else (3, 16)
+    lo, hi = args.table
     cols = [
         "c",
         "len_general",
@@ -348,8 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(p_cert)
     p_cert.add_argument("--lattice", action="append", metavar="FILE",
                         help="certify a previously built lattice file instead")
-    p_cert.add_argument("--table", type=_crossing_range, metavar="c=LO..HI",
-                        help="print the bound table instead of certifying")
     p_cert.set_defaults(func=cmd_certify)
 
     p_exp = sub.add_parser("export", help="smooth the pipeline outputs and export geometry")

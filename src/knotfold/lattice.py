@@ -3,9 +3,10 @@
 A lattice knot is a closed self-avoiding polygon of axis-parallel sticks
 with integer corners.  A grid diagram settles into one occupying two
 z-levels; a horizontal fold then rotates half of it about a line in the
-x-direction, and a vertical fold rotates half of the result about a line
-in the y-direction.  Both folds remove the doubled edges they create and
-re-stitch the curve, keeping the knot type while shrinking the edge count.
+x-direction, and a vertical fold rotates half of that curve, taken before
+the horizontal fold lowered its crease sticks, about a line in the
+y-direction.  Both folds remove the doubled edges they create and re-stitch
+the curve, keeping the knot type while shrinking the edge count.
 
 All fold surgery happens at unit-edge resolution on the cyclic point list
 of the curve; no floating point appears anywhere in this module.
@@ -66,7 +67,6 @@ class FoldReport:
     fold_line: int
     removed_overlap_edges: int
     removed_z_edges: int
-    reraised_z_edges: int
     broken_sticks_reconnected: int
     added_y_edges: int
     added_z_edges: int
@@ -343,55 +343,19 @@ def _lower_stick(pts, col):
 
 
 def fold_horizontal(
-    k: LatticeKnot, g: int, side: str | None = None
-) -> tuple[LatticeKnot, FoldReport]:
+    k: LatticeKnot, g: int, side: str
+) -> tuple[LatticeKnot, FoldReport, LatticeKnot]:
     """Fold the settled knot about a line in the z=1 plane, x = fold line.
 
-    Points beyond the line rotate by (x, z) -> (2*xf - x, 2 - z), which
-    keeps every x-stick on z-level 1 and sends the reflected y-sticks to
-    z-level 0.  X-edges doubled by the fold are removed and the curve
-    re-stitched; finally the y-sticks over the crease (and, for even g,
-    over the outermost kept x-level) drop to z-level 1, saving two z-edges
-    each.  With side=None both fold directions are tried and the result
-    with fewer total edges wins (ties by canonical corner list).
+    Points on the given side of the line rotate by (x, z) -> (2*xf - x,
+    2 - z), which keeps every x-stick on z-level 1 and sends the reflected
+    y-sticks to z-level 0.  X-edges doubled by the fold are removed and the
+    curve re-stitched; finally the y-sticks over the crease (and, for even
+    g, over the outermost kept x-level) drop to z-level 1, saving two
+    z-edges each.  Returns the folded knot, its report, and the folded
+    curve as it was before those sticks were lowered, which is the input
+    that fold_vertical expects.
     """
-    if side is None:
-        return _best_fold(k, g, _fold_x_once, ("high", "low"))
-    return _fold_x_once(k, g, side)
-
-
-def fold_vertical(
-    k: LatticeKnot, g: int, side: str | None = None
-) -> tuple[LatticeKnot, FoldReport]:
-    """Fold the horizontally folded knot about a line in the z=2 plane.
-
-    Any y-sticks sitting on z-level 1 (the step-2 crease savings) are
-    first raised back to z-level 2, restoring the plain three-level form.
-    Points beyond the fold line rotate by (y, z) -> (2*yf - y, 4 - z):
-    y-sticks on z-level 2 fold within their plane (doubled edges removed),
-    x-sticks move to z-level 3, and y-sticks on z-level 0 that the line
-    severs are rebuilt with a bridge of two y-edges and four z-edges
-    around the outside of the fold.
-    """
-    if side is None:
-        return _best_fold(k, g, _fold_y_once, ("high", "low"))
-    return _fold_y_once(k, g, side)
-
-
-def _best_fold(k, g, fold_once, sides):
-    results = []
-    errors = []
-    for side in sides:
-        try:
-            results.append(fold_once(k, g, side))
-        except (FoldCollision, ReconnectFailure) as exc:
-            errors.append(exc)
-    if not results:
-        raise errors[0]
-    return min(results, key=lambda kr: (edge_census(kr[0]).total_edges, kr[0].corners))
-
-
-def _fold_x_once(k: LatticeKnot, g: int, side: str) -> tuple[LatticeKnot, FoldReport]:
     if side not in ("high", "low"):
         raise ValueError(f"side must be 'high' or 'low', not {side!r}")
     pre = edge_census(k)
@@ -419,6 +383,7 @@ def _fold_x_once(k: LatticeKnot, g: int, side: str) -> tuple[LatticeKnot, FoldRe
             out.extend(path[:-1])
         else:
             out.extend(image(p) for p in sec[:-1])
+    unlowered = out
     for col in lower_cols:
         out = _lower_stick(out, col)
     if len(set(out)) != len(out):
@@ -432,7 +397,6 @@ def _fold_x_once(k: LatticeKnot, g: int, side: str) -> tuple[LatticeKnot, FoldRe
         fold_line=xf,
         removed_overlap_edges=removed,
         removed_z_edges=2 * len(lower_cols),
-        reraised_z_edges=0,
         broken_sticks_reconnected=0,
         added_y_edges=0,
         added_z_edges=0,
@@ -440,51 +404,26 @@ def _fold_x_once(k: LatticeKnot, g: int, side: str) -> tuple[LatticeKnot, FoldRe
         post=post,
     )
     _check_books(report)
-    return knot, report
+    return knot, report, canonicalize(LatticeKnot(tuple(_corners_from_points(unlowered))))
 
 
-def _reraise_lowered(pts):
-    """Lift every z=1 y-run back onto z-level 2, undoing crease savings."""
-    raised = 0
-    while True:
-        n = len(pts)
-        target = None
-        for axis, sec in _sections(pts):
-            if axis == 1 and all(p[2] == 1 for p in sec):
-                target = sec
-                break
-        if target is None:
-            return pts, raised
-        col = target[0][0]
-        r1, r2 = target[0][1], target[-1][1]
-        lifted = (
-            [target[0]]
-            + [(col, p[1], 2) for p in target]
-            + [target[-1]]
-        )
-        # splice: locate the section in the current cyclic list
-        idx = None
-        for i in range(n):
-            if pts[i] == target[0] and pts[(i + len(target) - 1) % n] == target[-1]:
-                window = [pts[(i + j) % n] for j in range(len(target))]
-                if window == target:
-                    idx = i
-                    break
-        if idx is None:
-            raise FoldCollision("lost track of a lowered stick while re-raising")
-        rot = pts[idx:] + pts[:idx]
-        pts = lifted + rot[len(target) :]
-        raised += 1
+def fold_vertical(k: LatticeKnot, g: int, side: str) -> tuple[LatticeKnot, FoldReport]:
+    """Fold a horizontally folded curve about a line in the z=2 plane.
 
-
-def _fold_y_once(k: LatticeKnot, g: int, side: str) -> tuple[LatticeKnot, FoldReport]:
+    The input is the curve fold_horizontal returns as it was before its
+    crease sticks were lowered: x-sticks on z-level 1 and y-sticks on
+    z-levels 0 and 2.  Points on the given side of the fold line rotate by
+    (y, z) -> (2*yf - y, 4 - z): y-sticks on z-level 2 fold within their
+    plane (doubled edges removed), x-sticks move to z-level 3, and y-sticks
+    on z-level 0 that the line severs are rebuilt with a bridge of two
+    y-edges and four z-edges around the outside of the fold.
+    """
     if side not in ("high", "low"):
         raise ValueError(f"side must be 'high' or 'low', not {side!r}")
     pre = edge_census(k)
     pts = unit_points(k)
     if not {p[2] for p in pts} <= {0, 1, 2}:
         raise ValueError("fold_vertical expects a horizontally folded knot on z-levels 0..2")
-    pts, raised = _reraise_lowered(pts)
     yf = _fold_line_y(g, side)
     yb = yf + 1 if side == "high" else yf - 1
 
@@ -534,7 +473,10 @@ def _fold_y_once(k: LatticeKnot, g: int, side: str) -> tuple[LatticeKnot, FoldRe
             bridge_points.update(bridge_up)
             out.extend(emitted[:-1])
         else:
-            raise FoldCollision(f"unexpected y-travel on z-level {zlevel} before vertical fold")
+            raise ValueError(
+                "fold_vertical expects the curve from before the crease sticks were "
+                "lowered, not one with a y-stick on z-level 1"
+            )
     dupes = {p for p in out if out.count(p) > 1} if len(set(out)) != len(out) else set()
     if dupes:
         if dupes & bridge_points:
@@ -551,7 +493,6 @@ def _fold_y_once(k: LatticeKnot, g: int, side: str) -> tuple[LatticeKnot, FoldRe
         fold_line=yf,
         removed_overlap_edges=removed,
         removed_z_edges=0,
-        reraised_z_edges=2 * raised,
         broken_sticks_reconnected=broken,
         added_y_edges=2 * broken,
         added_z_edges=4 * broken,
@@ -574,7 +515,7 @@ def _check_books(r: FoldReport) -> None:
         ok = (
             r.post.x_edges == r.pre.x_edges
             and r.post.y_edges == r.pre.y_edges - r.removed_overlap_edges + r.added_y_edges
-            and r.post.z_edges == r.pre.z_edges + r.reraised_z_edges + r.added_z_edges
+            and r.post.z_edges == r.pre.z_edges + r.added_z_edges
         )
     if not ok:
         raise FoldCollision(f"fold accounting does not reconcile: {r}")
@@ -613,7 +554,10 @@ def parse_lattice(text: str) -> tuple[LatticeKnot, dict]:
             corners = tuple(tuple(int(v) for v in c) for c in data["corners"])
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise MalformedInput(f"bad JSON lattice form: {exc}") from exc
-        return LatticeKnot(corners), dict(data.get("provenance", {}))
+        provenance = data.get("provenance", {})
+        if not isinstance(provenance, dict):
+            raise MalformedInput(f"JSON lattice provenance must be an object, not {provenance!r}")
+        return LatticeKnot(corners), provenance
     provenance: dict = {}
     corners_list = []
     for raw in text.splitlines():

@@ -5,17 +5,25 @@ either half, likewise the vertical one.  Each fold's counting argument is
 guaranteed for a favorable half only, so the pipeline tries all four
 side combinations, keeps every candidate that validates, and reports the
 step-2 and step-3 results with minimum total edges (ties broken by the
-canonical corner list).
+canonical corner list).  Each vertical fold starts from the horizontal
+fold's curve as it was before the crease sticks were lowered.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bounds import EdgeCensus, edge_census
 from .errors import FoldCollision, KnotfoldError, ReconnectFailure
 from .grid import GridDiagram
-from .lattice import FoldReport, LatticeKnot, fold_horizontal, fold_vertical, settle
+from .lattice import (
+    EdgeCensus,
+    FoldReport,
+    LatticeKnot,
+    edge_census,
+    fold_horizontal,
+    fold_vertical,
+    settle,
+)
 
 
 @dataclass(frozen=True)
@@ -48,34 +56,34 @@ def run_pipeline(d: GridDiagram, max_step: int = 3) -> PipelineResult:
         return PipelineResult(d, g, stages)
 
     def keyfn(entry):
-        knot = entry[0]
-        return (edge_census(knot).total_edges, knot.corners)
+        knot, report = entry[0], entry[1]
+        return (report.post.total_edges, knot.corners)
 
-    step2: dict[str, tuple[LatticeKnot, FoldReport]] = {}
+    step2: dict[str, tuple[LatticeKnot, FoldReport, LatticeKnot]] = {}
     errors: list[KnotfoldError] = []
     for side in ("high", "low"):
         try:
-            step2[side] = fold_horizontal(k1, g, side=side)
+            step2[side] = fold_horizontal(k1, g, side)
         except (FoldCollision, ReconnectFailure) as exc:
             errors.append(exc)
     if not step2:
         raise errors[0]
     best2_side = min(step2, key=lambda s: keyfn(step2[s]))
-    k2, r2 = step2[best2_side]
-    stages[2] = Stage(2, k2, edge_census(k2), r2, (best2_side,))
+    k2, r2, _ = step2[best2_side]
+    stages[2] = Stage(2, k2, r2.post, r2, (best2_side,))
     if max_step == 2:
         return PipelineResult(d, g, stages)
 
     step3: dict[tuple[str, str], tuple[LatticeKnot, FoldReport]] = {}
-    for h_side, (kh, _rh) in step2.items():
+    for h_side, (_k2, _r2, unlowered) in step2.items():
         for v_side in ("high", "low"):
             try:
-                step3[(h_side, v_side)] = fold_vertical(kh, g, side=v_side)
+                step3[(h_side, v_side)] = fold_vertical(unlowered, g, v_side)
             except (FoldCollision, ReconnectFailure) as exc:
                 errors.append(exc)
     if not step3:
         raise errors[0]
     best3 = min(step3, key=lambda s: keyfn(step3[s]))
     k3, r3 = step3[best3]
-    stages[3] = Stage(3, k3, edge_census(k3), r3, best3)
+    stages[3] = Stage(3, k3, r3.post, r3, best3)
     return PipelineResult(d, g, stages)

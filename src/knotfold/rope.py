@@ -641,7 +641,7 @@ def import_polyline(text: str) -> list[tuple[float, float, float]]:
 
 
 def import_geometry(text: str) -> SmoothKnot:
-    """Invert the arc-exact export."""
+    """Invert the arc-exact export; the pieces must close up, alternating arc and straight."""
     pieces: list[object] = []
     for raw in text.splitlines():
         line = raw.strip()
@@ -663,4 +663,12 @@ def import_geometry(text: str) -> SmoothKnot:
             raise MalformedInput(f"non-integer field in {line!r}") from exc
     if not pieces:
         raise MalformedInput("no pieces found")
+    n = len(pieces)
+    kinds = (ArcPiece, StraightPiece)
+    if n % 2 or not all(isinstance(p, kinds[i % 2]) for i, p in enumerate(pieces)):
+        raise MalformedInput("pieces must alternate ARC, SEG, ARC, SEG, ... from an ARC")
+    for i, p in enumerate(pieces):
+        nxt = pieces[(i + 1) % n]
+        if p.end != nxt.start:
+            raise MalformedInput(f"piece {i} ends at {p.end} but the next starts at {nxt.start}")
     return SmoothKnot(pieces=tuple(pieces))

@@ -198,16 +198,17 @@ class TestCertify:
         from knotfold.lattice import fold_horizontal
 
         d = parse_grid("X: 1,2,3,4,5\nO: 3,4,5,1,2\n")
-        k, _ = fold_horizontal(settle(d), 5)
-        cert = certify(
-            k,
-            Provenance(label="3_1", g=5, step=2, crossing_number=3, known_minimum_edges=24),
-        )
-        assert cert.passed
-        names = {c.name for c in cert.checks}
-        assert "edges_le_step2_bound" in names
-        assert "edges_le_len_bound_c3" in names
-        assert "edges_ge_known_minimum" in names
+        for side in ("high", "low"):
+            k, _, _ = fold_horizontal(settle(d), 5, side)
+            cert = certify(
+                k,
+                Provenance(label="3_1", g=5, step=2, crossing_number=3, known_minimum_edges=24),
+            )
+            assert cert.passed
+            names = {c.name for c in cert.checks}
+            assert "edges_le_step2_bound" in names
+            assert "edges_le_len_bound_c3" in names
+            assert "edges_ge_known_minimum" in names
 
     def test_invalid_knot_fails(self):
         bad = LatticeKnot(((0, 0, 0), (1, 1, 0), (1, 1, 1), (0, 0, 1)))

@@ -6,6 +6,9 @@ from knotfold.bounds import theorem_len_bound, theorem_rop_bound
 from knotfold.cli import main
 
 
+SQUARE = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -86,6 +89,33 @@ class TestCertify:
         assert code == 1
         assert "FAIL" in stdout
 
+    def test_non_object_provenance_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps({"corners": SQUARE, "provenance": 5}))
+        code, _, stderr = run(capsys, "certify", "--lattice", str(path), "--out", str(tmp_path))
+        assert code == 2
+        assert "MalformedInput" in stderr
+
+    @pytest.mark.parametrize("key", ["g", "step", "crossing_number", "known_minimum_edges"])
+    @pytest.mark.parametrize("value", ["x", 2.5, None, True])
+    def test_non_integer_provenance_json_exit_2(self, tmp_path, capsys, key, value):
+        prov = {"g": 2, "step": 1, key: value}
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps({"corners": SQUARE, "provenance": prov}))
+        code, _, stderr = run(capsys, "certify", "--lattice", str(path), "--out", str(tmp_path))
+        assert code == 2
+        assert "MalformedInput" in stderr and key in stderr
+
+    @pytest.mark.parametrize("key", ["g", "step", "crossing_number", "known_minimum_edges"])
+    def test_non_integer_provenance_text_exit_2(self, tmp_path, capsys, key):
+        prov = {"g": "2", "step": "1", key: "x"}
+        path = tmp_path / "k.txt"
+        header = "".join(f"# {k}: {v}\n" for k, v in prov.items())
+        path.write_text(header + "".join(f"{x} {y} {z}\n" for x, y, z in SQUARE))
+        code, _, stderr = run(capsys, "certify", "--lattice", str(path), "--out", str(tmp_path))
+        assert code == 2
+        assert "MalformedInput" in stderr and key in stderr
+
     def test_clean_lattice_passes(self, tmp_path, capsys):
         out = tmp_path / "o"
         run(capsys, "certify", "--corpus", "5_1", "--out", str(out))
@@ -156,11 +186,10 @@ class TestTable:
             assert cells[2] == str(theorem_len_bound(c, nonalternating_prime=True).value)
             assert abs(float(cells[3]) - float(theorem_rop_bound(c).value)) < 1e-6
 
-    def test_certify_table_alias(self, capsys):
-        code_a, out_a, _ = run(capsys, "certify", "--table", "c=3..16")
-        code_b, out_b, _ = run(capsys, "table", "--table", "c=3..16")
-        assert code_a == code_b == 0
-        assert out_a == out_b
+    def test_certify_rejects_table_option(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--table", "c=3..16"])
+        assert exc.value.code == 2
 
     def test_single_value_range(self, capsys):
         code, stdout, _ = run(capsys, "table", "--table", "c=3")

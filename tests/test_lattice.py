@@ -60,7 +60,7 @@ class TestSettle:
 
 class TestFoldHorizontal:
     def test_trefoil_high_side(self):
-        k, r = fold_horizontal(settle(TREFOIL), 5, side="high")
+        k, r, _ = fold_horizontal(settle(TREFOIL), 5, side="high")
         c = edge_census(k)
         assert (c.x_edges, c.y_edges, c.z_edges) == (6, 12, 8)
         assert c.total_edges == 26
@@ -70,15 +70,16 @@ class TestFoldHorizontal:
         assert validate_lattice(k).ok
 
     def test_g3_saturates_bound(self):
-        k, _ = fold_horizontal(settle(G3), 3, side="high")
+        k, _, _ = fold_horizontal(settle(G3), 3, side="high")
         assert edge_census(k).total_edges == 10  # (3g^2+8g-11)/4 at g=3
 
     def test_g2_collapses_to_plane(self):
-        k, r = fold_horizontal(settle(UNKNOT2), 2)
-        c = edge_census(k)
-        assert c.total_edges == 4  # the 4k+2 bound at g=2
-        assert c.z_edges == 0
-        assert r.removed_z_edges == 4
+        for side in ("high", "low"):
+            k, r, _ = fold_horizontal(settle(UNKNOT2), 2, side)
+            c = edge_census(k)
+            assert c.total_edges == 4  # the 4k+2 bound at g=2
+            assert c.z_edges == 0
+            assert r.removed_z_edges == 4
 
     def test_odd_g_saves_exactly_two_z_edges(self):
         for g in (3, 5, 7, 9):
@@ -86,7 +87,7 @@ class TestFoldHorizontal:
                 k1 = settle(random_grid(g, seed))
                 pre = edge_census(k1).z_edges
                 for side in ("high", "low"):
-                    k2, _ = fold_horizontal(k1, g, side=side)
+                    k2, _, _ = fold_horizontal(k1, g, side=side)
                     assert edge_census(k2).z_edges == pre - 2
 
     def test_even_g_saves_exactly_four_z_edges(self):
@@ -95,54 +96,70 @@ class TestFoldHorizontal:
                 k1 = settle(random_grid(g, seed))
                 pre = edge_census(k1).z_edges
                 for side in ("high", "low"):
-                    k2, _ = fold_horizontal(k1, g, side=side)
+                    k2, _, _ = fold_horizontal(k1, g, side=side)
                     assert edge_census(k2).z_edges == pre - 4
 
     def test_bookkeeping(self):
         for g in range(2, 11):
             for seed in range(4):
                 k1 = settle(random_grid(g, seed))
-                k2, r = fold_horizontal(k1, g)
-                assert r.post.x_edges == r.pre.x_edges - r.removed_overlap_edges
-                assert r.post.y_edges == r.pre.y_edges
-                assert r.post.z_edges == r.pre.z_edges - r.removed_z_edges
-                assert r.broken_sticks_reconnected == 0
+                for side in ("high", "low"):
+                    k2, r, unlowered = fold_horizontal(k1, g, side)
+                    assert r.post.x_edges == r.pre.x_edges - r.removed_overlap_edges
+                    assert r.post.y_edges == r.pre.y_edges
+                    assert r.post.z_edges == r.pre.z_edges - r.removed_z_edges
+                    assert r.broken_sticks_reconnected == 0
+                    assert r.post == edge_census(k2)
+                    # the unlowered curve differs only by the lowered sticks' z-edges
+                    flat = edge_census(unlowered)
+                    assert (flat.x_edges, flat.y_edges) == (r.post.x_edges, r.post.y_edges)
+                    assert flat.z_edges == r.post.z_edges + r.removed_z_edges
+                    assert validate_lattice(unlowered).ok
 
 
 class TestFoldVertical:
     def test_trefoil_high_side(self):
-        k2, _ = fold_horizontal(settle(TREFOIL), 5, side="high")
-        k3, r = fold_vertical(k2, 5, side="high")
+        _, _, unlowered = fold_horizontal(settle(TREFOIL), 5, side="high")
+        k3, r = fold_vertical(unlowered, 5, side="high")
         c = edge_census(k3)
         assert (c.x_edges, c.y_edges, c.z_edges) == (6, 12, 18)
         assert c.total_edges == 36
         assert r.broken_sticks_reconnected == 2
-        assert r.reraised_z_edges == 2
+        assert r.pre.z_edges == 10  # the step-2 knot's 8 plus the crease stick's 2
+        assert r.post.z_edges == r.pre.z_edges + r.added_z_edges
         assert validate_lattice(k3).ok
+
+    def test_rejects_lowered_step2_knot(self):
+        for side in ("high", "low"):
+            k2, _, _ = fold_horizontal(settle(TREFOIL), 5, side)
+            with pytest.raises(ValueError, match="z-level 1"):
+                fold_vertical(k2, 5, side)
 
     def test_broken_stick_accounting(self):
         for g in range(2, 11):
             for seed in range(4):
                 k1 = settle(random_grid(g, seed))
-                k2, _ = fold_horizontal(k1, g)
-                k3, r = fold_vertical(k2, g)
-                assert r.added_y_edges == 2 * r.broken_sticks_reconnected
-                assert r.added_z_edges == 4 * r.broken_sticks_reconnected
-                assert r.post.x_edges == r.pre.x_edges
-                assert (
-                    r.post.y_edges
-                    == r.pre.y_edges - r.removed_overlap_edges + r.added_y_edges
-                )
-                assert (
-                    r.post.z_edges
-                    == r.pre.z_edges + r.reraised_z_edges + r.added_z_edges
-                )
+                for h_side in ("high", "low"):
+                    _, _, unlowered = fold_horizontal(k1, g, h_side)
+                    for v_side in ("high", "low"):
+                        k3, r = fold_vertical(unlowered, g, v_side)
+                        assert r.added_y_edges == 2 * r.broken_sticks_reconnected
+                        assert r.added_z_edges == 4 * r.broken_sticks_reconnected
+                        assert r.pre == edge_census(unlowered)
+                        assert r.post.x_edges == r.pre.x_edges
+                        assert (
+                            r.post.y_edges
+                            == r.pre.y_edges - r.removed_overlap_edges + r.added_y_edges
+                        )
+                        assert r.post.z_edges == r.pre.z_edges + r.added_z_edges
 
     def test_g2_pipeline_stays_valid(self):
-        k2, _ = fold_horizontal(settle(UNKNOT2), 2)
-        k3, _ = fold_vertical(k2, 2)
-        assert validate_lattice(k3).ok
-        assert edge_census(k3).total_edges == 8  # the 4k+2 bound at g=2
+        for h_side in ("high", "low"):
+            _, _, unlowered = fold_horizontal(settle(UNKNOT2), 2, h_side)
+            for v_side in ("high", "low"):
+                k3, _ = fold_vertical(unlowered, 2, v_side)
+                assert validate_lattice(k3).ok
+                assert edge_census(k3).total_edges == 8  # the 4k+2 bound at g=2
 
     def test_z_edge_ceiling(self):
         for g in range(2, 12):

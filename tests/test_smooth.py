@@ -143,3 +143,21 @@ class TestExport:
             import_geometry("CIRCLE 1 2 3\n")
         with pytest.raises(MalformedInput):
             import_geometry("")
+
+    def test_import_rejects_open_or_unalternating_pieces(self):
+        s = smooth(UNIT_SQUARE)
+        lines = export_geometry(s, "arcs").splitlines()
+        with pytest.raises(MalformedInput, match="alternate"):
+            import_geometry("SEG 0 0 0 2 0 0\n" * 4)
+        with pytest.raises(MalformedInput, match="alternate"):
+            import_geometry("\n".join(lines[1:] + lines[:1]) + "\n")
+        with pytest.raises(MalformedInput, match="alternate"):
+            import_geometry("\n".join(lines[:-1]) + "\n")
+        with pytest.raises(MalformedInput, match="ends at"):  # open: last arc and straight cut
+            import_geometry("\n".join(lines[:-2]) + "\n")
+        broken = lines[:]
+        broken[1] = "SEG 0 0 0 9 9 9"
+        with pytest.raises(MalformedInput, match="ends at"):
+            import_geometry("\n".join(broken) + "\n")
+        # a closed curve with the pieces shifted by a whole arc+straight pair is fine
+        assert import_geometry("\n".join(lines[2:] + lines[:2]) + "\n").pieces
