@@ -220,8 +220,10 @@ def cmd_certify(args) -> int:
         for path in args.lattice:
             knot, prov = parse_lattice(Path(path).read_text())
             label = prov.get("source", Path(path).stem)
-            g = _provenance_int(prov, "g") or None
-            step = _provenance_int(prov, "step") or None
+            g = _provenance_int(prov, "g")
+            step = _provenance_int(prov, "step")
+            if step not in (None, 1, 2, 3):
+                raise MalformedInput(f"provenance step must be 1, 2 or 3, not {step}")
             if g is None:
                 report = validate_lattice(knot)
                 ok = report.ok

@@ -11,6 +11,13 @@ Thickness is measured, not assumed: curvature radius is exactly 1 by
 construction and the minimum distance between non-adjacent pieces is
 computed by exact segment-segment formulas plus certified subdivision
 (Lipschitz and curvature bounds) for arcs, to 1e-9.
+
+The scan measures only candidate pairs.  Each piece's integer bounding
+box is hashed into cells of side 4, and the candidates are the
+non-adjacent pairs whose boxes lie within r of each other, from r = 2,
+the clearance of the doubled lattice.  A minimum <= r is exact, since
+every pair left out is farther apart than r; otherwise r grows and the
+scan repeats, until at the knot's own extent every pair is a candidate.
 """
 
 from __future__ import annotations
@@ -84,7 +91,7 @@ class RopeMetrics:
     length_exact: PiExpr
     corner_count: int
     min_curvature_radius: float
-    min_doubled_self_distance: float | None
+    min_doubled_self_distance: float
     thickness_radius: float
     ropelength: float
 
@@ -125,25 +132,16 @@ def smooth(k: LatticeKnot) -> SmoothKnot:
 # metrics
 
 
-def rope_metrics(s: SmoothKnot, self_distance: bool = True) -> RopeMetrics:
-    """Length in closed form; thickness from curvature and the distance scan.
-
-    With self_distance=False the scan is skipped and thickness is reported
-    from curvature alone (min_doubled_self_distance is None); use this
-    only where the scan runs separately.
-    """
+def rope_metrics(s: SmoothKnot) -> RopeMetrics:
+    """Length in closed form; thickness from curvature and the distance scan."""
     arcs = s.arcs
     straight_total = sum(p.length for p in s.straights)
     n_arcs = len(arcs)
     length_exact = PiExpr(Fraction(straight_total), Fraction(n_arcs, 2))
     length = float(length_exact)
     min_curv = 1.0 if n_arcs else math.inf
-    if self_distance:
-        dmin = _min_self_distance(s)
-        thickness = min(min_curv, dmin / 2.0)
-    else:
-        dmin = None
-        thickness = min_curv
+    dmin = _min_self_distance(s)
+    thickness = min(min_curv, dmin / 2.0)
     return RopeMetrics(
         length=length,
         length_exact=length_exact,
@@ -151,43 +149,8 @@ def rope_metrics(s: SmoothKnot, self_distance: bool = True) -> RopeMetrics:
         min_curvature_radius=min_curv,
         min_doubled_self_distance=dmin,
         thickness_radius=thickness,
-        ropelength=length / thickness,
+        ropelength=length / thickness if thickness else math.inf,
     )
-
-
-def _piece_sticks(index: int, n_sticks: int) -> tuple[int, ...]:
-    """Source sticks of piece `index` in the [arc0, straight0, arc1, ...] order."""
-    i = index // 2
-    if index % 2 == 0:  # arc at corner i joins sticks i-1 and i
-        return ((i - 1) % n_sticks, i)
-    return (i,)
-
-
-def _pieces_adjacent(p: int, q: int, n_sticks: int) -> bool:
-    """Pieces are adjacent when they derive from the same or consecutive sticks.
-
-    Such pairs are close only through a short run of the curve itself,
-    where embeddability is governed by the curvature radius; chordal
-    clearance is meaningful between pieces of non-adjacent sticks, which
-    the doubled lattice keeps at distance 2 or more.
-    """
-    for a in _piece_sticks(p, n_sticks):
-        for b in _piece_sticks(q, n_sticks):
-            d = (a - b) % n_sticks
-            if min(d, n_sticks - d) <= 1:
-                return True
-    return False
-
-
-def _adjacent_pairs(pieces) -> set[tuple[int, int]]:
-    n = len(pieces)
-    n_sticks = n // 2
-    excl = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _pieces_adjacent(i, j, n_sticks):
-                excl.add((i, j))
-    return excl
 
 
 def _point_seg_dist3(px, py, pz, ax, ay, az, bx, by, bz):
@@ -529,64 +492,150 @@ def _wave_range(a: float, b: float, lo: float, hi: float) -> tuple[float, float]
     return bot, top
 
 
-def _min_self_distance(s: SmoothKnot) -> float:
-    """Minimum distance over all non-adjacent piece pairs."""
-    pieces = s.pieces
-    n = len(pieces)
-    excl = _adjacent_pairs(pieces)
-    seg_idx = [i for i, p in enumerate(pieces) if isinstance(p, StraightPiece)]
-    arc_idx = [i for i, p in enumerate(pieces) if isinstance(p, ArcPiece)]
-    best = math.inf
+_CELL = 4
 
-    pairs = [
-        (i, j)
-        for ii, i in enumerate(seg_idx)
-        for j in seg_idx[ii + 1 :]
-        if (i, j) not in excl
-    ]
-    if pairs:
-        p1 = np.array([pieces[i].start for i, _ in pairs], dtype=float)
-        q1 = np.array([pieces[i].end for i, _ in pairs], dtype=float)
-        p2 = np.array([pieces[j].start for _, j in pairs], dtype=float)
-        q2 = np.array([pieces[j].end for _, j in pairs], dtype=float)
-        dists = _seg_seg_batch(p1, q1, p2, q2)
+
+def _piece_boxes(pieces) -> tuple[np.ndarray, np.ndarray]:
+    """Integer bounding boxes (lo, hi), one row per piece.
+
+    An arc's box is its center +-1 in its plane and its center along the
+    normal; a straight's box spans its two endpoints.
+    """
+    lo = np.empty((len(pieces), 3), dtype=np.int64)
+    hi = np.empty_like(lo)
+    for i, p in enumerate(pieces):
+        if isinstance(p, ArcPiece):
+            ext = [abs(a) + abs(b) for a, b in zip(p.u, p.v)]
+            lo[i] = [c - e for c, e in zip(p.center, ext)]
+            hi[i] = [c + e for c, e in zip(p.center, ext)]
+        else:
+            lo[i] = np.minimum(p.start, p.end)
+            hi[i] = np.maximum(p.start, p.end)
+    return lo, hi
+
+
+def _near_pairs(lo: np.ndarray, hi: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs i < j whose boxes are at most r apart along every axis.
+
+    Every box, grown by r/2 on each side, is filed under each hash cell it
+    meets; two boxes at most r apart along every axis then share a cell.
+    Cells have side 4, or r when r is larger, so a grown box meets at
+    most three cells across its short axes.
+    """
+    n = len(lo)
+    cell = 2 * max(_CELL, r)  # in half units, so r may be odd
+    clo = (2 * lo - r) // cell
+    chi = (2 * hi + r) // cell
+    span = chi - clo + 1
+    count = span.prod(axis=1)
+    owner = np.repeat(np.arange(n), count)
+    k = np.arange(int(count.sum())) - np.repeat(np.cumsum(count) - count, count)
+    sx, sy = span[owner, 0], span[owner, 1]
+    cells = clo[owner] + np.stack([k % sx, (k // sx) % sy, k // (sx * sy)], axis=1)
+    base = clo.min(axis=0)
+    dims = chi.max(axis=0) - base + 1
+    c = cells - base
+    key = (c[:, 0] * dims[1] + c[:, 1]) * dims[2] + c[:, 2]
+    order = np.argsort(key, kind="stable")  # owners stay ascending within a cell
+    key, owner, cells = key[order], owner[order], cells[order]
+    firsts, seconds = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for d in range(1, len(key)):
+        same = np.flatnonzero(key[d:] == key[:-d])
+        if not len(same):
+            break
+        a, b = owner[same], owner[same + d]
+        # a pair shares a block of cells; keep it only in the block's lowest cell
+        lowest = (np.maximum(clo[a], clo[b]) == cells[same]).all(axis=1)
+        firsts.append(a[lowest])
+        seconds.append(b[lowest])
+    i, j = np.concatenate(firsts), np.concatenate(seconds)
+    gap = np.maximum(lo[j] - hi[i], lo[i] - hi[j]).max(axis=1)
+    keep = gap <= r
+    return i[keep], j[keep]
+
+
+def _scan_pairs(pieces, i: np.ndarray, j: np.ndarray) -> float:
+    """Minimum distance over the given piece pairs (i < j, arcs at even indices)."""
+    best = math.inf
+    kind = (i % 2) + 2 * (j % 2)  # 0 arc-arc, 1 seg-arc, 2 arc-seg, 3 seg-seg
+
+    ss = kind == 3
+    if ss.any():
+        starts = np.array([p.start for p in pieces], dtype=float)
+        ends = np.array([p.end for p in pieces], dtype=float)
+        a, b = i[ss], j[ss]
+        dists = _seg_seg_batch(starts[a], ends[a], starts[b], ends[b])
         best = min(best, float(dists.min()))
 
     # arcs stay within distance 1 of their centers, giving cheap lower
     # bounds that prune almost every pair against the running minimum
-    arc_seg_cands = []
-    for i in arc_idx:
-        c = pieces[i].center
-        for j in seg_idx:
-            if (min(i, j), max(i, j)) in excl:
-                continue
-            lb = _point_seg_dist3(*c, *pieces[j].start, *pieces[j].end) - 1.0
-            arc_seg_cands.append((lb, i, j))
+    mixed = (kind == 1) | (kind == 2)
+    arcs = np.where(kind == 1, j, i)[mixed].tolist()
+    segs = np.where(kind == 1, i, j)[mixed].tolist()
+    arc_seg_cands = [
+        (_point_seg_dist3(*pieces[a].center, *pieces[b].start, *pieces[b].end) - 1.0, a, b)
+        for a, b in zip(arcs, segs)
+    ]
     arc_seg_cands.sort()
-    for lb, i, j in arc_seg_cands:
+    for lb, a, b in arc_seg_cands:
         if lb >= best - _TOL:
             break
-        d = _arc_seg_dist(pieces[i], pieces[j].start, pieces[j].end)
+        d = _arc_seg_dist(pieces[a], pieces[b].start, pieces[b].end)
         if d < best:
             best = d
 
-    arc_arc_cands = []
-    for ii, i in enumerate(arc_idx):
-        ci = pieces[i].center
-        for j in arc_idx[ii + 1 :]:
-            if (i, j) in excl:
-                continue
-            cj = pieces[j].center
-            lb = math.dist(ci, cj) - 2.0
-            arc_arc_cands.append((lb, i, j))
+    aa = kind == 0
+    arc_arc_cands = [
+        (math.dist(pieces[a].center, pieces[b].center) - 2.0, a, b)
+        for a, b in zip(i[aa].tolist(), j[aa].tolist())
+    ]
     arc_arc_cands.sort()
-    for lb, i, j in arc_arc_cands:
+    for lb, a, b in arc_arc_cands:
         if lb >= best - _TOL:
             break
-        d = _arc_arc_dist(pieces[i], pieces[j], cutoff=best)
+        d = _arc_arc_dist(pieces[a], pieces[b], cutoff=best)
         if d < best:
             best = d
     return best
+
+
+def _min_self_distance(s: SmoothKnot) -> float:
+    """Minimum distance over all non-adjacent piece pairs.
+
+    Pieces are adjacent when their source sticks are at most one apart,
+    cyclically (an arc at corner k joins sticks k-1 and k).  Such pairs
+    are close only through a short run of the curve itself, where
+    embeddability is governed by the curvature radius; chordal clearance
+    is meaningful between pieces of non-adjacent sticks, which the doubled
+    lattice keeps at distance 2 or more.
+
+    Candidates are the non-adjacent pairs whose boxes lie within r of
+    each other, starting at r = 2.  A minimum <= r is the answer, since
+    every pair left out is farther apart than r.  Otherwise r doubles, or
+    grows to the minimum found if that is larger, so the next round ends
+    the scan; r stops at the extent of the knot's box, where every pair
+    is a candidate.
+    """
+    pieces = s.pieces
+    n = len(pieces)
+    m = n // 2  # sticks
+    lo, hi = _piece_boxes(pieces)
+    extent = int((hi.max(axis=0) - lo.min(axis=0)).max())
+    r = 2
+    while True:
+        if r >= extent:
+            i, j = np.triu_indices(n, 1)
+        else:
+            i, j = _near_pairs(lo, hi, r)
+        # piece p covers sticks (p-1)//2 .. p//2 (arc 0 covers -1, the last
+        # stick); apart is the stick gap between two pieces, either way round
+        apart = np.minimum((j - 1) // 2 - i // 2, (i - 1) // 2 + m - j // 2)
+        far = apart > 1
+        best = _scan_pairs(pieces, i[far], j[far])
+        if best <= r or r >= extent:
+            return best
+        # every pair within the best distance found is a candidate next round
+        r = min(2 * r if best == math.inf else max(2 * r, math.ceil(best)), extent)
 
 
 # ---------------------------------------------------------------------------
@@ -640,6 +689,10 @@ def import_polyline(text: str) -> list[tuple[float, float, float]]:
     return verts
 
 
+def _unit_axis(w) -> bool:
+    return sorted(map(abs, w)) == [0, 0, 1]
+
+
 def import_geometry(text: str) -> SmoothKnot:
     """Invert the arc-exact export; the pieces must close up, alternating arc and straight."""
     pieces: list[object] = []
@@ -648,19 +701,21 @@ def import_geometry(text: str) -> SmoothKnot:
         if not line or line.startswith("#"):
             continue
         parts = line.split()
+        if (parts[0], len(parts)) not in (("SEG", 7), ("ARC", 10)):
+            raise MalformedInput(f"unrecognized record {line!r}")
         try:
-            if parts[0] == "SEG" and len(parts) == 7:
-                vals = [int(p) for p in parts[1:]]
-                pieces.append(StraightPiece(start=tuple(vals[:3]), end=tuple(vals[3:])))
-            elif parts[0] == "ARC" and len(parts) == 10:
-                vals = [int(p) for p in parts[1:]]
-                pieces.append(
-                    ArcPiece(center=tuple(vals[:3]), u=tuple(vals[3:6]), v=tuple(vals[6:]))
-                )
-            else:
-                raise MalformedInput(f"unrecognized record {line!r}")
+            vals = [int(p) for p in parts[1:]]
         except ValueError as exc:
             raise MalformedInput(f"non-integer field in {line!r}") from exc
+        if parts[0] == "SEG":
+            if sum(a != b for a, b in zip(vals[:3], vals[3:])) > 1:
+                raise MalformedInput(f"straight piece is not axis-parallel: {line!r}")
+            pieces.append(StraightPiece(start=tuple(vals[:3]), end=tuple(vals[3:])))
+        else:
+            u, v = vals[3:6], vals[6:]
+            if not (_unit_axis(u) and _unit_axis(v) and sum(a * b for a, b in zip(u, v)) == 0):
+                raise MalformedInput(f"arc axes are not perpendicular unit axis vectors: {line!r}")
+            pieces.append(ArcPiece(center=tuple(vals[:3]), u=tuple(u), v=tuple(v)))
     if not pieces:
         raise MalformedInput("no pieces found")
     n = len(pieces)

@@ -110,7 +110,7 @@ def test_criterion_4_ropelength_identity_and_bounds(corpus_pipelines, pipelines2
             for step in (1, 2, 3):
                 stage = res.stages[step]
                 census = stage.census
-                m = rope_metrics(smooth(stage.knot), self_distance=False)
+                m = rope_metrics(smooth(stage.knot))
                 closed = 2 * census.total_edges - (2 - math.pi / 2) * census.corners
                 assert abs(m.length - closed) <= 1e-12 * max(1.0, closed), (label, step)
                 assert m.length_exact == smooth_length_exact(census), (label, step)

@@ -116,6 +116,28 @@ class TestCertify:
         assert code == 2
         assert "MalformedInput" in stderr and key in stderr
 
+    @pytest.mark.parametrize("step", [0, 4, 7, -1])
+    def test_step_out_of_range_exit_2(self, tmp_path, capsys, step):
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps({"corners": SQUARE, "provenance": {"g": 2, "step": step}}))
+        code, stdout, stderr = run(
+            capsys, "certify", "--lattice", str(path), "--out", str(tmp_path)
+        )
+        assert code == 2
+        assert "MalformedInput" in stderr and "step" in stderr
+        assert "PASS" not in stdout
+
+    @pytest.mark.parametrize("g", [0, 1, -3])
+    def test_g_too_small_exit_2(self, tmp_path, capsys, g):
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps({"corners": SQUARE, "provenance": {"g": g, "step": 1}}))
+        code, stdout, stderr = run(
+            capsys, "certify", "--lattice", str(path), "--out", str(tmp_path)
+        )
+        assert code == 2
+        assert "SizeTooSmall" in stderr
+        assert "PASS" not in stdout
+
     def test_clean_lattice_passes(self, tmp_path, capsys):
         out = tmp_path / "o"
         run(capsys, "certify", "--corpus", "5_1", "--out", str(out))

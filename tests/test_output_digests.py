@@ -1,8 +1,10 @@
-"""Byte-identity of the build and certify output files.
+"""Byte-identity of the build, certify and export output files.
 
-The SHA-256 of every lattice file written by ``build`` and every
-certificate written by ``certify`` is recorded in data/output_digests.json
-for the corpus and for seeded random diagrams with g <= 20.  A change that
+The SHA-256 of every lattice file written by ``build``, every certificate
+written by ``certify`` and every ``.arcs.txt``, ``.polyline.txt`` and
+``.metrics.txt`` file written by ``export`` is recorded in
+data/output_digests.json for the corpus and for seeded random diagrams
+with g <= 20.  A change that
 is meant to keep results unchanged must leave all of them byte-identical.
 After a deliberate change of output, rerun this file as a script
 (``PYTHONPATH=src python tests/test_output_digests.py``) to record the new
@@ -24,9 +26,9 @@ GROUPS.update({f"g{g}": ["--random", f"g={g},seed=0,count=2"] for g in range(2, 
 
 
 def output_digests(group: str, workdir: Path) -> dict[str, str]:
-    """Digests of the step lattice files and certificates for one input group."""
+    """Digests of the lattice, certificate and export files for one input group."""
     digests = {}
-    for command in ("build", "certify"):
+    for command in ("build", "certify", "export"):
         out = workdir / command
         code = main([command, *GROUPS[group], "--out", str(out)])
         assert code == 0, f"{command} {group} exited {code}"

@@ -1,0 +1,137 @@
+"""The cell-hash thickness scan against the brute-force all-pairs oracle.
+
+Both share the exact distance kernels, so the minimum must agree to the
+last bit (==), not within a tolerance.
+"""
+
+import itertools
+import math
+import random
+
+import numpy as np
+import pytest
+
+from knotfold.errors import KnotfoldError
+from knotfold.grid import random_grid
+from knotfold.lattice import LatticeKnot, canonicalize
+from knotfold.pipeline import run_pipeline
+from knotfold.rope import ArcPiece, _near_pairs, _piece_boxes, rope_metrics, smooth
+from scan_oracle import min_self_distance_oracle
+
+
+def assert_matches_oracle(knot, label):
+    s = smooth(knot)
+    got = rope_metrics(s).min_doubled_self_distance
+    assert got == min_self_distance_oracle(s), label
+    return got
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 7, 16])
+def test_near_pairs_are_exactly_the_boxes_within_r(r):
+    rng = np.random.default_rng(r)
+    lo = rng.integers(-20, 20, size=(150, 3))
+    size = rng.integers(0, 3, size=(150, 3))
+    size[np.arange(150), rng.integers(0, 3, size=150)] = rng.integers(0, 40, size=150)
+    hi = lo + size
+    want = {
+        (a, b)
+        for a, b in itertools.combinations(range(150), 2)
+        if max(max(lo[b] - hi[a]), max(lo[a] - hi[b])) <= r
+    }
+    i, j = _near_pairs(lo, hi, r)
+    assert sorted(zip(i.tolist(), j.tolist())) == sorted(want)
+
+
+def test_piece_boxes_hold_their_pieces(corpus_pipelines):
+    s = smooth(corpus_pipelines[-1][1].stages[3].knot)
+    lo, hi = _piece_boxes(s.pieces)
+    for p, a, b in zip(s.pieces, lo, hi):
+        if isinstance(p, ArcPiece):
+            points = [p.point(k * math.pi / 16) for k in range(9)]
+            assert sorted((b - a).tolist()) == [0, 2, 2]  # center +-1 in the arc's plane
+        else:
+            points = [p.start, p.end]
+        for q in points:
+            assert all(a[x] - 1e-12 <= q[x] <= b[x] + 1e-12 for x in range(3))
+
+
+def test_corpus(corpus_pipelines):
+    for entry, res in corpus_pipelines:
+        for step in (1, 2, 3):
+            assert_matches_oracle(res.stages[step].knot, (entry.name, step))
+
+
+def test_acceptance_suite(pipelines200):
+    for g, seed, res in pipelines200:
+        for step in (1, 2, 3):
+            assert_matches_oracle(res.stages[step].knot, (g, seed, step))
+
+
+@pytest.mark.parametrize("g", range(2, 21))
+def test_random_small(g):
+    for seed in range(3):
+        res = run_pipeline(random_grid(g, seed))
+        for step in (1, 2, 3):
+            assert_matches_oracle(res.stages[step].knot, (g, seed, step))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_random_g48(seed):
+    res = run_pipeline(random_grid(48, seed))
+    for step in (1, 2, 3):
+        assert_matches_oracle(res.stages[step].knot, (48, seed, step))
+
+
+@pytest.mark.parametrize("w,h", [(10, 3), (3, 10), (40, 25), (2, 2), (5, 1)])
+def test_rectangle_grows_radius(w, h):
+    # only opposite straights are non-adjacent, 2*min(w, h) apart once doubled,
+    # so for min(w, h) > 1 no candidate lies within the starting radius
+    rect = LatticeKnot(((0, 0, 0), (w, 0, 0), (w, h, 0), (0, h, 0)))
+    assert assert_matches_oracle(rect, (w, h)) == 2.0 * min(w, h)
+
+
+def test_hexagon_through_three_planes():
+    # a 6x6x6 loop whose nearest non-adjacent pieces are 12 or more apart
+    hexagon = LatticeKnot(
+        ((0, 0, 0), (6, 0, 0), (6, 6, 0), (6, 6, 6), (0, 6, 6), (0, 0, 6))
+    )
+    assert assert_matches_oracle(hexagon, "hexagon") > 12.0
+
+
+def random_turning_polygon(rng, sticks):
+    """A closed lattice polygon with right-angle corners; it may cross itself."""
+    while True:
+        corners = [(0, 0, 0)]
+        axis = rng.randrange(3)
+        for _ in range(sticks):
+            axis = rng.choice([a for a in range(3) if a != axis])
+            step = [0, 0, 0]
+            step[axis] = rng.choice((-1, 1)) * rng.randint(1, 3)
+            corners.append(tuple(c + s for c, s in zip(corners[-1], step)))
+        for axis in range(3):  # walk back to the origin one axis at a time
+            back = list(corners[-1])
+            back[axis] = 0
+            corners.append(tuple(back))
+        corners = corners[:-1]
+        try:
+            knot = canonicalize(LatticeKnot(tuple(corners)))
+        except KnotfoldError:
+            continue
+        c = knot.corners
+        dirs = [tuple(b - a for a, b in zip(c[i], c[(i + 1) % len(c)])) for i in range(len(c))]
+        if all(sum(x * y for x, y in zip(d, e)) == 0 for d, e in zip(dirs, dirs[1:] + dirs[:1])):
+            return knot
+
+
+def test_random_crossing_polygons():
+    # unlike lattice knots these come closer than 2, down to touching, so
+    # a candidate the cell hash loses cannot hide behind another pair at 2
+    # (this seed happens to draw no pair of arcs that exhausts the arc-arc
+    # subdivision budget, which costs both scans about 1.5 s per pair)
+    rng = random.Random(5)
+    below_two = 0
+    for idx in range(300):
+        knot = random_turning_polygon(rng, 4 + idx % 10)
+        below_two += assert_matches_oracle(knot, knot.corners) < 2.0
+    assert below_two > 80
+

@@ -72,7 +72,7 @@ class TestMetrics:
         res = run_pipeline(TREFOIL)
         for step in (1, 2, 3):
             census = res.stages[step].census
-            m = rope_metrics(smooth(res.stages[step].knot), self_distance=False)
+            m = rope_metrics(smooth(res.stages[step].knot))
             expected = smooth_length_exact(census)
             assert m.length_exact == expected
             closed = 2 * census.total_edges - (2 - math.pi / 2) * census.corners
@@ -91,9 +91,18 @@ class TestMetrics:
         assert m.min_doubled_self_distance >= 2.0 - 1e-9
         assert abs(m.thickness_radius - 1.0) <= 1e-9
 
-    def test_skip_scan(self):
-        m = rope_metrics(smooth(UNIT_SQUARE), self_distance=False)
-        assert m.min_doubled_self_distance is None
+    def test_self_crossing_rope_has_infinite_ropelength(self):
+        knot = LatticeKnot(
+            ((0, 0, 0), (3, 0, 0), (3, 2, 0), (1, 2, 0), (1, 1, 0), (4, 1, 0), (4, 3, 0), (0, 3, 0))
+        )
+        m = rope_metrics(smooth(knot))
+        assert m.min_doubled_self_distance == 0.0
+        assert m.thickness_radius == 0.0 and m.ropelength == math.inf
+
+    def test_unit_square_scan(self):
+        # only the two opposite zero-length straights are non-adjacent
+        m = rope_metrics(smooth(UNIT_SQUARE))
+        assert m.min_doubled_self_distance == 2.0
         assert m.thickness_radius == 1.0
 
 
@@ -107,7 +116,7 @@ class TestExport:
 
     def test_polyline_length_error(self):
         s = smooth(run_pipeline(TREFOIL).stages[2].knot)
-        m = rope_metrics(s, self_distance=False)
+        m = rope_metrics(s)
         verts = import_polyline(export_geometry(s, "polyline", density=64))
         total = 0.0
         for i, v in enumerate(verts):
@@ -126,10 +135,10 @@ class TestExport:
 
     def test_density_does_not_change_metrics(self):
         s = smooth(run_pipeline(TREFOIL).stages[2].knot)
-        m1 = rope_metrics(s, self_distance=False)
+        m1 = rope_metrics(s)
         for density in (8, 64):
             export_geometry(s, "polyline", density=density)
-            m2 = rope_metrics(s, self_distance=False)
+            m2 = rope_metrics(s)
             assert m2.length == m1.length
 
     def test_unknown_form(self):
@@ -144,6 +153,27 @@ class TestExport:
         with pytest.raises(MalformedInput):
             import_geometry("")
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            "ARC 0 0 0 2 0 0 0 2 0",  # radius 2
+            "ARC 0 0 0 1 0 0 1 0 0",  # u == v
+            "ARC 0 0 0 1 0 0 -1 0 0",  # antiparallel axes
+            "ARC 0 0 0 1 1 0 0 0 1",  # diagonal u
+            "ARC 0 0 0 0 0 0 0 1 0",  # zero u
+            "SEG 0 2 0 2 0 0",  # diagonal straight
+            "SEG 0 0 0 1 1 1",
+        ],
+    )
+    def test_import_rejects_bad_arc_axes_and_skew_straights(self, record):
+        with pytest.raises(MalformedInput, match="axis"):
+            import_geometry(record + "\n")
+        # also inside an otherwise closed curve
+        lines = export_geometry(smooth(UNIT_SQUARE), "arcs").splitlines()
+        lines[0 if record.startswith("ARC") else 1] = record
+        with pytest.raises(MalformedInput, match="axis"):
+            import_geometry("\n".join(lines) + "\n")
+
     def test_import_rejects_open_or_unalternating_pieces(self):
         s = smooth(UNIT_SQUARE)
         lines = export_geometry(s, "arcs").splitlines()
@@ -156,7 +186,7 @@ class TestExport:
         with pytest.raises(MalformedInput, match="ends at"):  # open: last arc and straight cut
             import_geometry("\n".join(lines[:-2]) + "\n")
         broken = lines[:]
-        broken[1] = "SEG 0 0 0 9 9 9"
+        broken[1] = "SEG 0 0 0 9 0 0"
         with pytest.raises(MalformedInput, match="ends at"):
             import_geometry("\n".join(broken) + "\n")
         # a closed curve with the pieces shifted by a whole arc+straight pair is fine
