@@ -2,9 +2,8 @@
 
 A diagram is assembled from the cyclic sequence of crossing passes made
 while traversing the knot once.  Edges are the diagram segments between
-consecutive passes; every crossing stores its four incident edges both by
-role (under/over, in/out) and in counterclockwise order around the
-crossing point.
+consecutive passes; every crossing stores its four incident edges by role
+(under/over, in/out).
 """
 
 from __future__ import annotations
@@ -16,21 +15,6 @@ from .errors import MultiComponent
 
 def cross2(a: tuple[int, int], b: tuple[int, int]) -> int:
     return a[0] * b[1] - a[1] * b[0]
-
-
-def _pseudo_angle(d: tuple[int, int]):
-    """Sort key equivalent to atan2 ordering, exact for integer vectors."""
-    x, y = d
-    if x > 0 and y >= 0:
-        quad = 0
-    elif x <= 0 and y > 0:
-        quad = 1
-    elif x < 0 and y <= 0:
-        quad = 2
-    else:
-        quad = 3
-    # within a quadrant the slope y/x increases counterclockwise
-    return (quad, y * abs(x) if x != 0 else (1 if y > 0 else -1) * 10**18, x)
 
 
 @dataclass(frozen=True)
@@ -55,7 +39,6 @@ class Crossing:
     over_in: int
     over_out: int
     sign: int
-    edges_ccw: tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -117,15 +100,6 @@ def build_diagram(passes: list[CrossingPass]) -> PlanarDiagram:
         sign = 1 if cross2(v, u) > 0 else -1
         under_in, under_out = p, (p + 1) % n_edges
         over_in, over_out = q, (q + 1) % n_edges
-        ends = {
-            under_in: (-u[0], -u[1]),
-            under_out: u,
-            over_in: (-v[0], -v[1]),
-            over_out: v,
-        }
-        ccw = sorted(ends, key=lambda e: _pseudo_angle(ends[e]))
-        start = ccw.index(under_in)
-        ccw = tuple(ccw[start:] + ccw[:start])
         crossings.append(
             Crossing(
                 key=key,
@@ -134,7 +108,6 @@ def build_diagram(passes: list[CrossingPass]) -> PlanarDiagram:
                 over_in=over_in,
                 over_out=over_out,
                 sign=sign,
-                edges_ccw=ccw,
             )
         )
     return PlanarDiagram(crossings=tuple(crossings), n_edges=n_edges)

@@ -33,12 +33,6 @@ class GridDiagram:
     x_col: tuple[int, ...]
     o_col: tuple[int, ...]
 
-    def x_row_of_col(self, c: int) -> int:
-        return self.x_col.index(c) + 1
-
-    def o_row_of_col(self, c: int) -> int:
-        return self.o_col.index(c) + 1
-
     def row_order(self) -> list[int]:
         """Rows in the order the closed curve visits them, starting at row 1."""
         order = [1]

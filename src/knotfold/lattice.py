@@ -2,11 +2,14 @@
 
 A lattice knot is a closed self-avoiding polygon of axis-parallel sticks
 with integer corners.  A grid diagram settles into one occupying two
-z-levels; a horizontal fold then rotates half of it about a line in the
-x-direction, and a vertical fold rotates half of that curve, taken before
-the horizontal fold lowered its crease sticks, about a line in the
-y-direction.  Both folds remove the doubled edges they create and re-stitch
-the curve, keeping the knot type while shrinking the edge count.
+z-levels.  Both folds then make the same move: the points beyond a fold
+line in a z=level plane turn half a turn about it, the fold-axis sticks in
+that plane lose the edges the turn doubles, and fold-axis sticks two
+levels below that the line severs are bridged around the outside of the
+fold.  The horizontal fold turns about an x-line in the z=1 plane and then
+lowers its crease sticks; the vertical fold turns the horizontal fold's
+curve, taken before that lowering, about a y-line in the z=2 plane.  Each
+fold keeps the knot type while shrinking the edge count.
 
 All fold surgery happens at unit-edge resolution on the cyclic point list
 of the curve; no floating point appears anywhere in this module.
@@ -120,18 +123,12 @@ def unit_points(k: LatticeKnot) -> list[tuple[int, int, int]]:
     return pts
 
 
-def _corners_from_points(pts: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
-    n = len(pts)
-    corners = []
-    for i in range(n):
-        prev = pts[i - 1]
-        cur = pts[i]
-        nxt = pts[(i + 1) % n]
-        d1 = tuple(cur[j] - prev[j] for j in range(3))
-        d2 = tuple(nxt[j] - cur[j] for j in range(3))
-        if d1 != d2:
-            corners.append(cur)
-    return corners
+def _knot_from_points(pts: list[tuple[int, int, int]]) -> LatticeKnot:
+    """The canonical knot through a cyclic list of unit-spaced points."""
+    # steps[i] leaves pts[i]; a corner is a point where the step changes
+    steps = [(q[0] - p[0], q[1] - p[1], q[2] - p[2]) for p, q in zip(pts, pts[1:] + pts[:1])]
+    corners = tuple(p for i, p in enumerate(pts) if steps[i - 1] != steps[i])
+    return canonicalize(LatticeKnot(corners))
 
 
 def canonicalize(k: LatticeKnot) -> LatticeKnot:
@@ -283,32 +280,15 @@ def _sections(pts):
 
 
 def _direct_path(p, q, axis):
-    """Inclusive monotone unit path from p to q along one axis."""
-    if p == q:
-        return [p]
-    step = 1 if q[axis] > p[axis] else -1
-    out = []
-    cur = list(p)
-    while True:
-        out.append(tuple(cur))
-        if tuple(cur) == q:
-            return out
-        cur[axis] += step
+    """Inclusive monotone unit path from p to q, which differ only along axis."""
+    step = 1 if q[axis] >= p[axis] else -1
+    return [(*p[:axis], v, *p[axis + 1 :]) for v in range(p[axis], q[axis] + step, step)]
 
 
-def _fold_lines_x(g: int, side: str) -> tuple[int, list[int]]:
-    """Fold line and the x-levels whose y-sticks drop onto the crease."""
-    if g % 2 == 1:
-        xf = (g + 1) // 2
-        return xf, [xf]
-    if side == "high":
-        xf = g // 2 + 1
-        return xf, [xf, 1]
-    xf = g // 2
-    return xf, [xf, g]
-
-
-def _fold_line_y(g: int, side: str) -> int:
+def _fold_line(g: int, side: str) -> int:
+    """The fold line of either fold; it depends only on g's parity and the side."""
+    if side not in ("high", "low"):
+        raise ValueError(f"side must be 'high' or 'low', not {side!r}")
     if g % 2 == 1:
         return (g + 1) // 2
     return g // 2 + 1 if side == "high" else g // 2
@@ -342,183 +322,144 @@ def _lower_stick(pts, col):
     return pts[:lo] + interior + pts[hi + 1 :]
 
 
-def fold_horizontal(
-    k: LatticeKnot, g: int, side: str
-) -> tuple[LatticeKnot, FoldReport, LatticeKnot]:
-    """Fold the settled knot about a line in the z=1 plane, x = fold line.
+def _fold(pts, axis, line, level, side):
+    """Turn the points beyond a fold line half a turn about it.
 
-    Points on the given side of the line rotate by (x, z) -> (2*xf - x,
-    2 - z), which keeps every x-stick on z-level 1 and sends the reflected
-    y-sticks to z-level 0.  X-edges doubled by the fold are removed and the
-    curve re-stitched; finally the y-sticks over the crease (and, for even
-    g, over the outermost kept x-level) drop to z-level 1, saving two
-    z-edges each.  Returns the folded knot, its report, and the folded
-    curve as it was before those sticks were lowered, which is the input
-    that fold_vertical expects.
+    The line runs in the z=level plane at coordinate ``line`` of the fold
+    axis (0 for x, 1 for y); the points beyond it on ``side`` map by
+    p[axis] -> 2*line - p[axis], z -> 2*level - z.  A fold-axis stick in
+    that plane becomes the direct path between the images of its ends,
+    dropping the edges the fold doubles.  A fold-axis stick on z-level
+    level - 2 that the line severs is rebuilt with a bridge of two
+    fold-axis edges and four z-edges one unit beyond the line, around the
+    outside of the fold.  Returns the folded point cycle, the number of
+    doubled edges removed and the number of bridges built.
     """
-    if side not in ("high", "low"):
-        raise ValueError(f"side must be 'high' or 'low', not {side!r}")
-    pre = edge_census(k)
-    pts = unit_points(k)
-    levels = {p[2] for p in pts}
-    if not levels <= {1, 2}:
-        raise ValueError("fold_horizontal expects a settled knot on z-levels 1 and 2")
-    xf, lower_cols = _fold_lines_x(g, side)
-
-    def moved(p):
-        return p[0] > xf if side == "high" else p[0] < xf
-
-    def image(p):
-        if moved(p):
-            return (2 * xf - p[0], p[1], 2 - p[2])
-        return p
-
-    out: list[tuple[int, int, int]] = []
-    removed = 0
-    for axis, sec in _sections(pts):
-        if axis == 0:
-            first, last = image(sec[0]), image(sec[-1])
-            path = _direct_path(first, last, 0)
-            removed += (len(sec) - 1) - (len(path) - 1)
-            out.extend(path[:-1])
-        else:
-            out.extend(image(p) for p in sec[:-1])
-    unlowered = out
-    for col in lower_cols:
-        out = _lower_stick(out, col)
-    if len(set(out)) != len(out):
-        raise FoldCollision("horizontal fold left coincident lattice points")
-    knot = canonicalize(LatticeKnot(tuple(_corners_from_points(out))))
-    _require_valid(knot, "horizontal fold broke an invariant")
-    post = edge_census(knot)
-    report = FoldReport(
-        fold_axis="x",
-        side=side,
-        fold_line=xf,
-        removed_overlap_edges=removed,
-        removed_z_edges=2 * len(lower_cols),
-        broken_sticks_reconnected=0,
-        added_y_edges=0,
-        added_z_edges=0,
-        pre=pre,
-        post=post,
-    )
-    _check_books(report)
-    return knot, report, canonicalize(LatticeKnot(tuple(_corners_from_points(unlowered))))
-
-
-def fold_vertical(k: LatticeKnot, g: int, side: str) -> tuple[LatticeKnot, FoldReport]:
-    """Fold a horizontally folded curve about a line in the z=2 plane.
-
-    The input is the curve fold_horizontal returns as it was before its
-    crease sticks were lowered: x-sticks on z-level 1 and y-sticks on
-    z-levels 0 and 2.  Points on the given side of the fold line rotate by
-    (y, z) -> (2*yf - y, 4 - z): y-sticks on z-level 2 fold within their
-    plane (doubled edges removed), x-sticks move to z-level 3, and y-sticks
-    on z-level 0 that the line severs are rebuilt with a bridge of two
-    y-edges and four z-edges around the outside of the fold.
-    """
-    if side not in ("high", "low"):
-        raise ValueError(f"side must be 'high' or 'low', not {side!r}")
-    pre = edge_census(k)
-    pts = unit_points(k)
-    if not {p[2] for p in pts} <= {0, 1, 2}:
-        raise ValueError("fold_vertical expects a horizontally folded knot on z-levels 0..2")
-    yf = _fold_line_y(g, side)
-    yb = yf + 1 if side == "high" else yf - 1
+    offset = [0, 0, 2 * level]
+    offset[axis] = 2 * line
+    sign = [1, 1, -1]
+    sign[axis] = -1
+    (ox, oy, oz), (sx, sy, sz) = offset, sign
+    high = side == "high"
 
     def beyond(p):
-        return p[1] > yf if side == "high" else p[1] < yf
-
-    def image(p):
-        if beyond(p):
-            return (p[0], 2 * yf - p[1], 4 - p[2])
-        return p
+        return p[axis] > line if high else p[axis] < line
 
     def rotate(p):
-        return (p[0], 2 * yf - p[1], 4 - p[2])
+        x, y, z = p
+        return (ox + sx * x, oy + sy * y, oz + sz * z)
+
+    def image(p):
+        return rotate(p) if beyond(p) else p
 
     out: list[tuple[int, int, int]] = []
-    bridge_points: set[tuple[int, int, int]] = set()
-    removed = 0
-    broken = 0
-    for axis, sec in _sections(pts):
-        if axis != 1:
-            out.extend(image(p) for p in sec[:-1])
-            continue
-        zlevel = sec[0][2]
-        if zlevel == 2:
-            first, last = image(sec[0]), image(sec[-1])
-            path = _direct_path(first, last, 1)
-            removed += (len(sec) - 1) - (len(path) - 1)
+    bridges: set[tuple[int, int, int]] = set()
+    removed = broken = 0
+    for sec_axis, sec in _sections(pts):
+        z = sec[0][2]
+        if sec_axis == axis and z == level:
+            path = _direct_path(image(sec[0]), image(sec[-1]), axis)
+            removed += len(sec) - len(path)
             out.extend(path[:-1])
-        elif zlevel == 0:
-            has_beyond = any(beyond(p) for p in sec)
-            has_kept = any(not beyond(p) for p in sec)
-            if not (has_beyond and has_kept):
-                emitted = [rotate(p) for p in sec] if has_beyond else list(sec)
-                out.extend(emitted[:-1])
-                continue
-            broken += 1
-            x0 = sec[0][0]
-            bridge_up = [(x0, yb, z) for z in (0, 1, 2, 3, 4)]
-            if not beyond(sec[0]):
-                kept = [p for p in sec if not beyond(p)]
-                moved_part = [rotate(p) for p in sec if beyond(p) or p[1] == yf]
-                emitted = kept + bridge_up + moved_part
-            else:
-                moved_part = [rotate(p) for p in sec if beyond(p) or p[1] == yf]
-                kept = [p for p in sec if not beyond(p)]
-                emitted = moved_part + list(reversed(bridge_up)) + kept
-            bridge_points.update(bridge_up)
-            out.extend(emitted[:-1])
-        else:
+        elif sec_axis == axis and z != level - 2:
             raise ValueError(
-                "fold_vertical expects the curve from before the crease sticks were "
-                "lowered, not one with a y-stick on z-level 1"
+                f"fold about the {'xy'[axis]}-line {line} in the z={level} plane met a "
+                f"fold-axis stick on z-level {z}, neither in that plane nor two below it"
             )
-    dupes = {p for p in out if out.count(p) > 1} if len(set(out)) != len(out) else set()
-    if dupes:
-        if dupes & bridge_points:
+        elif beyond(sec[0]) == beyond(sec[-1]):
+            # the line does not sever this stick, so all of it lies on one side
+            out.extend(map(rotate, sec[:-1]) if beyond(sec[0]) else sec[:-1])
+        else:
+            broken += 1
+            corner = list(sec[0])
+            corner[axis] = line + 1 if high else line - 1
+            bridge = [(*corner[:2], h) for h in range(level - 2, level + 3)]
+            kept = [p for p in sec if not beyond(p)]
+            moved = [rotate(p) for p in sec if beyond(p) or p[axis] == line]
+            if beyond(sec[0]):
+                out.extend((moved + bridge[::-1] + kept)[:-1])
+            else:
+                out.extend((kept + bridge + moved)[:-1])
+            bridges.update(bridge)
+    if len(set(out)) != len(out):
+        seen: set[tuple[int, int, int]] = set()
+        dupes = {p for p in out if p in seen or seen.add(p)}
+        if dupes & bridges:
             raise ReconnectFailure(
-                f"broken-stick bridge collides with existing geometry at {sorted(dupes)[0]}"
+                f"broken-stick bridge collides with existing geometry at {min(dupes)}"
             )
-        raise FoldCollision("vertical fold left coincident lattice points")
-    knot = canonicalize(LatticeKnot(tuple(_corners_from_points(out))))
-    _require_valid(knot, "vertical fold broke an invariant")
-    post = edge_census(knot)
+        raise FoldCollision(
+            f"fold about the {'xy'[axis]}-line {line} left coincident lattice points"
+        )
+    return out, removed, broken
+
+
+def _fold_finish(k, pts, axis, line, side, removed, removed_z, broken):
+    """Canonical knot and reconciled report of a fold whose output cycle is pts."""
+    knot = _knot_from_points(pts)
+    _require_valid(knot, f"fold about the {'xy'[axis]}-line {line} broke an invariant")
     report = FoldReport(
-        fold_axis="y",
+        fold_axis="xy"[axis],
         side=side,
-        fold_line=yf,
+        fold_line=line,
         removed_overlap_edges=removed,
-        removed_z_edges=0,
+        removed_z_edges=removed_z,
         broken_sticks_reconnected=broken,
         added_y_edges=2 * broken,
         added_z_edges=4 * broken,
-        pre=pre,
-        post=post,
+        pre=edge_census(k),
+        post=edge_census(knot),
     )
-    _check_books(report)
+    pre, post = report.pre, report.post
+    if not (
+        post.x_edges == pre.x_edges - removed * (axis == 0)
+        and post.y_edges == pre.y_edges - removed * (axis == 1) + report.added_y_edges
+        and post.z_edges == pre.z_edges - removed_z + report.added_z_edges
+    ):
+        raise FoldCollision(f"fold accounting does not reconcile: {report}")
     return knot, report
 
 
-def _check_books(r: FoldReport) -> None:
-    """Per-axis reconciliation of the fold's edge accounting."""
-    if r.fold_axis == "x":
-        ok = (
-            r.post.x_edges == r.pre.x_edges - r.removed_overlap_edges
-            and r.post.y_edges == r.pre.y_edges
-            and r.post.z_edges == r.pre.z_edges - r.removed_z_edges
-        )
-    else:
-        ok = (
-            r.post.x_edges == r.pre.x_edges
-            and r.post.y_edges == r.pre.y_edges - r.removed_overlap_edges + r.added_y_edges
-            and r.post.z_edges == r.pre.z_edges + r.added_z_edges
-        )
-    if not ok:
-        raise FoldCollision(f"fold accounting does not reconcile: {r}")
+def fold_horizontal(
+    k: LatticeKnot, g: int, side: str
+) -> tuple[LatticeKnot, FoldReport, LatticeKnot]:
+    """Fold the settled knot about an x-line in the z=1 plane.
+
+    The x-sticks all lie in the fold plane, so the fold only removes
+    doubled x-edges; the reflected y-sticks go to z-level 0.  Then the
+    y-sticks over the crease (and, for even g, over the outermost kept
+    x-level) drop to z-level 1, saving two z-edges each.  Returns the
+    folded knot, its report, and the folded curve as it was before those
+    sticks were lowered, which is the input that fold_vertical expects.
+    """
+    xf = _fold_line(g, side)
+    pts = unit_points(k)
+    if not {p[2] for p in pts} <= {1, 2}:
+        raise ValueError("fold_horizontal expects a settled knot on z-levels 1 and 2")
+    unlowered, removed, _ = _fold(pts, 0, xf, 1, side)
+    lower_cols = [xf] if g % 2 == 1 else [xf, 1 if side == "high" else g]
+    out = unlowered
+    for col in lower_cols:
+        out = _lower_stick(out, col)
+    knot, report = _fold_finish(k, out, 0, xf, side, removed, 2 * len(lower_cols), 0)
+    return knot, report, _knot_from_points(unlowered)
+
+
+def fold_vertical(k: LatticeKnot, g: int, side: str) -> tuple[LatticeKnot, FoldReport]:
+    """Fold a horizontally folded curve about a y-line in the z=2 plane.
+
+    The input is the curve fold_horizontal returns as it was before its
+    crease sticks were lowered: x-sticks on z-level 1 and y-sticks on
+    z-levels 0 and 2.  The y-sticks on z-level 2 lose their doubled edges,
+    the x-sticks beyond the line move to z-level 3, and the y-sticks on
+    z-level 0 that the line severs are bridged.
+    """
+    yf = _fold_line(g, side)
+    pts = unit_points(k)
+    if not {p[2] for p in pts} <= {0, 1, 2}:
+        raise ValueError("fold_vertical expects a horizontally folded knot on z-levels 0..2")
+    out, removed, broken = _fold(pts, 1, yf, 2, side)
+    return _fold_finish(k, out, 1, yf, side, removed, 0, broken)
 
 
 # ---------------------------------------------------------------------------
@@ -551,13 +492,18 @@ def parse_lattice(text: str) -> tuple[LatticeKnot, dict]:
     if stripped.startswith("{"):
         try:
             data = json.loads(stripped)
-            corners = tuple(tuple(int(v) for v in c) for c in data["corners"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            corners = data["corners"]
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise MalformedInput(f"bad JSON lattice form: {exc}") from exc
+        if not isinstance(corners, list) or not corners or not all(
+            isinstance(c, list) and len(c) == 3 and all(type(v) is int for v in c)
+            for c in corners
+        ):
+            raise MalformedInput("JSON lattice corners must be a list of [x, y, z] integer triples")
         provenance = data.get("provenance", {})
         if not isinstance(provenance, dict):
             raise MalformedInput(f"JSON lattice provenance must be an object, not {provenance!r}")
-        return LatticeKnot(corners), provenance
+        return LatticeKnot(tuple(map(tuple, corners))), provenance
     provenance: dict = {}
     corners_list = []
     for raw in text.splitlines():

@@ -41,9 +41,6 @@ class PipelineResult:
     g: int
     stages: dict[int, Stage]
 
-    def knot(self, step: int) -> LatticeKnot:
-        return self.stages[step].knot
-
 
 def run_pipeline(d: GridDiagram, max_step: int = 3) -> PipelineResult:
     """Settle and fold, searching fold sides for the shortest valid result."""

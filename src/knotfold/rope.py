@@ -222,26 +222,21 @@ def _in_cone(wu: float, wv: float) -> bool:
 def _arc_seg_dist(arc: ArcPiece, a, b) -> float:
     """Exact min distance from a quarter arc to an axis-parallel segment.
 
-    Split by the segment direction: along the arc-plane normal the arc
-    coordinates decouple (single cosine formula); in-plane directions
-    reduce to 2D circle vs segment, where the minimum is at one of
-    finitely many critical candidates (endpoints, poles, crossings).
+    Split by the segment direction: along the arc-plane normal the nearest
+    segment point is the one at the arc's level, so the point-to-arc
+    formula applies; in-plane directions reduce to 2D circle vs segment,
+    where the minimum is at one of finitely many critical candidates
+    (endpoints, poles, crossings).
     """
     n_axis = next(i for i in range(3) if arc.u[i] == 0 and arc.v[i] == 0)
     d = tuple(b[i] - a[i] for i in range(3))
     if all(x == 0 for x in d) or d[n_axis] != 0:
-        # along the normal (or a point): clamp the normal coordinate,
-        # single in-plane cosine for the rest
-        t_arc = float(arc.center[n_axis])
-        lo, hi = sorted((float(a[n_axis]), float(b[n_axis])))
-        h = max(0.0, lo - t_arc, t_arc - hi)
-        su = sum((a[i] - arc.center[i]) * arc.u[i] for i in range(3))
-        sv = sum((a[i] - arc.center[i]) * arc.v[i] for i in range(3))
-        rho = math.hypot(su, sv)
-        if rho == 0.0:
-            return math.sqrt(1.0 + h * h)
-        maxcos = 1.0 if (su >= 0.0 and sv >= 0.0) else max(su, sv) / rho
-        return math.sqrt(max(1.0 + rho * rho - 2.0 * rho * maxcos + h * h, 0.0))
+        # along the normal (or a point): the segment point nearest the arc
+        # has its normal coordinate clamped to the arc's level
+        lo, hi = sorted((a[n_axis], b[n_axis]))
+        p = list(a)
+        p[n_axis] = min(max(arc.center[n_axis], lo), hi)
+        return _point_arc_dist(p, arc)
     cands = [
         _point_arc_dist(a, arc),
         _point_arc_dist(b, arc),
@@ -520,10 +515,13 @@ def _near_pairs(lo: np.ndarray, hi: np.ndarray, r: int) -> tuple[np.ndarray, np.
     Every box, grown by r/2 on each side, is filed under each hash cell it
     meets; two boxes at most r apart along every axis then share a cell.
     Cells have side 4, or r when r is larger, so a grown box meets at
-    most three cells across its short axes.
+    most three cells across its short axes.  Cells are also at least a
+    sixteenth of the mean box size (summed over the axes), so a few very
+    long pieces cannot file an unbounded number of cells.
     """
     n = len(lo)
-    cell = 2 * max(_CELL, r)  # in half units, so r may be odd
+    min_side = -(-int((hi - lo).sum()) // (16 * n))
+    cell = 2 * max(_CELL, r, min_side)  # in half units, so r may be odd
     clo = (2 * lo - r) // cell
     chi = (2 * hi + r) // cell
     span = chi - clo + 1
@@ -689,6 +687,11 @@ def import_polyline(text: str) -> list[tuple[float, float, float]]:
     return verts
 
 
+# Imported coordinates stay within this bound, so every coordinate, arc end
+# and difference of two of them is an integer that a float64 holds exactly.
+_MAX_COORD = 2**50
+
+
 def _unit_axis(w) -> bool:
     return sorted(map(abs, w)) == [0, 0, 1]
 
@@ -707,6 +710,8 @@ def import_geometry(text: str) -> SmoothKnot:
             vals = [int(p) for p in parts[1:]]
         except ValueError as exc:
             raise MalformedInput(f"non-integer field in {line!r}") from exc
+        if any(abs(v) > _MAX_COORD for v in vals):
+            raise MalformedInput(f"coordinate beyond 2**50 in magnitude in {line!r}")
         if parts[0] == "SEG":
             if sum(a != b for a, b in zip(vals[:3], vals[3:])) > 1:
                 raise MalformedInput(f"straight piece is not axis-parallel: {line!r}")

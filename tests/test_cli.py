@@ -96,6 +96,23 @@ class TestCertify:
         assert code == 2
         assert "MalformedInput" in stderr
 
+    @pytest.mark.parametrize(
+        "corners",
+        [
+            [[0, 0], [1, 0], [1, 1], [0, 1]],
+            [[0.5, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]],
+            [[0, 0, 0, 5], [1, 0, 0], [1, 1, 0], [0, 1, 0]],
+            [[True, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]],
+        ],
+    )
+    def test_corners_not_integer_triples_exit_2(self, tmp_path, capsys, corners):
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps({"corners": corners}))
+        code, stdout, stderr = run(capsys, "certify", "--lattice", str(path), "--out", str(tmp_path))
+        assert code == 2
+        assert "MalformedInput" in stderr
+        assert "PASS" not in stdout
+
     @pytest.mark.parametrize("key", ["g", "step", "crossing_number", "known_minimum_edges"])
     @pytest.mark.parametrize("value", ["x", 2.5, None, True])
     def test_non_integer_provenance_json_exit_2(self, tmp_path, capsys, key, value):

@@ -99,6 +99,13 @@ class TestFoldHorizontal:
                     k2, _, _ = fold_horizontal(k1, g, side=side)
                     assert edge_census(k2).z_edges == pre - 4
 
+    def test_rejects_x_stick_off_the_fold_plane(self):
+        # an x-stick on z=2 that crosses the fold line: neither collapsible
+        # in the fold plane nor a severed stick to bridge
+        k = LatticeKnot(((1, 1, 1), (3, 1, 1), (3, 1, 2), (1, 1, 2)))
+        with pytest.raises(ValueError, match="z-level 2"):
+            fold_horizontal(k, 3, "high")
+
     def test_bookkeeping(self):
         for g in range(2, 11):
             for seed in range(4):

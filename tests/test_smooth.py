@@ -106,6 +106,14 @@ class TestMetrics:
         assert m.thickness_radius == 1.0
 
 
+    def test_long_sticks_scan_in_few_cells(self):
+        # a 2**48-long rectangle: hashing its straights into cells of side 4
+        # would need about 2**47 cells each
+        n = 2**48
+        m = rope_metrics(smooth(LatticeKnot(((0, 0, 0), (n, 0, 0), (n, 1, 0), (0, 1, 0)))))
+        assert m.min_doubled_self_distance == 2.0
+        assert m.thickness_radius == 1.0
+
 class TestExport:
     def test_polyline_circle_density_90(self):
         text = export_geometry(smooth(UNIT_SQUARE), "polyline", density=90)
@@ -152,6 +160,8 @@ class TestExport:
             import_geometry("CIRCLE 1 2 3\n")
         with pytest.raises(MalformedInput):
             import_geometry("")
+        with pytest.raises(MalformedInput, match="2\\*\\*50"):
+            import_geometry(f"SEG {2**50 + 1} 0 0 0 0 0\n")
 
     @pytest.mark.parametrize(
         "record",
