@@ -5,8 +5,12 @@ one relation row per crossing over the free group on the overpass arcs,
 abelianized to integer Laurent polynomials, with one row and one column
 deleted before taking the determinant.  The determinant is evaluated
 exactly: unit-monomial pivots are eliminated sparsely first (rows have at
-most three entries), and whatever dense core remains goes through
-fraction-free Bareiss elimination with exact polynomial division.
+most three entries), taken in Markowitz order from a heap, and the
+determinant of whatever dense core remains is evaluated at enough points
+modulo enough primes, interpolated, and recombined by the Chinese
+remainder theorem, with rigorous degree and coefficient bounds.  Each
+dense core is logged at DEBUG level: its rows, degree bound, coefficient
+bound in bits and number of primes.
 
 Lattice knots are turned into diagrams by an integer shear projection so
 that sticks parallel to the viewing axis become short slanted segments
@@ -15,13 +19,18 @@ instead of points.
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .diagram import CrossingPass, PlanarDiagram, build_diagram, cross2
 from .errors import MultiComponent, NoRegularShear
 from .lattice import LatticeKnot, canonicalize
 from .laurent import LaurentPoly
+from .rope import _near_pairs
 
 SHEAR_CANDIDATES = ((1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2))
 
@@ -110,31 +119,35 @@ def project(k: LatticeKnot) -> ProjectionDiagram:
         pts2 = [(scale * x + a * z, scale * y + b * z) for x, y, z in corners]
         zs = [c[2] for c in corners]
         segs = [(pts2[i], pts2[(i + 1) % n]) for i in range(n)]
+        # only segments whose boxes touch can meet; pairs in (i, j) order
+        ends = np.array(segs)
+        lo = np.zeros((n, 3), dtype=np.int64)
+        hi = np.zeros((n, 3), dtype=np.int64)
+        lo[:, :2] = ends.min(axis=1)
+        hi[:, :2] = ends.max(axis=1)
+        first, second = _near_pairs(lo, hi, 0)
+        order = np.lexsort((second, first))
         regular = True
         events: dict[int, list] = {i: [] for i in range(n)}
-        for i in range(n):
-            for j in range(i + 1, n):
-                adjacent = j == i + 1 or (i == 0 and j == n - 1)
-                if adjacent:
-                    continue
-                rel = _seg_relation(*segs[i], *segs[j])
-                if rel == "bad":
-                    regular = False
-                    break
-                if rel != "proper":
-                    continue
-                t, s = _crossing_params(*segs[i], *segs[j])
-                zi = Fraction(zs[i]) + t * (zs[(i + 1) % n] - zs[i])
-                zj = Fraction(zs[j]) + s * (zs[(j + 1) % n] - zs[j])
-                if zi == zj:
-                    regular = False  # would be a 3D self-intersection
-                    break
-                key = (i, j)
-                i_over = zi > zj
-                events[i].append((t, key, i_over, j))
-                events[j].append((s, key, not i_over, i))
-            if not regular:
+        for i, j in zip(first[order].tolist(), second[order].tolist()):
+            if j == i + 1 or (i == 0 and j == n - 1):
+                continue  # adjacent
+            rel = _seg_relation(*segs[i], *segs[j])
+            if rel == "bad":
+                regular = False
                 break
+            if rel != "proper":
+                continue
+            t, s = _crossing_params(*segs[i], *segs[j])
+            zi = Fraction(zs[i]) + t * (zs[(i + 1) % n] - zs[i])
+            zj = Fraction(zs[j]) + s * (zs[(j + 1) % n] - zs[j])
+            if zi == zj:
+                regular = False  # would be a 3D self-intersection
+                break
+            key = (i, j)
+            i_over = zi > zj
+            events[i].append((t, key, i_over, j))
+            events[j].append((s, key, not i_over, i))
         if not regular:
             continue
         passes: list[CrossingPass] = []
@@ -168,138 +181,264 @@ def project(k: LatticeKnot) -> ProjectionDiagram:
 # determinant machinery
 
 
-def _plist_trim(p: list[int]) -> list[int]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+# primes below 2^28: a product of two residues stays below 2^56, so an
+# int64 entry can take 127 such products before it must be reduced
+_PRIMES = (
+    268435399, 268435367, 268435361, 268435337, 268435331, 268435313, 268435291,
+    268435273, 268435243, 268435183, 268435171, 268435157, 268435147, 268435133,
+    268435129, 268435121, 268435109, 268435091, 268435067, 268435043, 268435039,
+    268435033, 268435019, 268435009, 268435007, 268434997, 268434979, 268434977,
+    268434961, 268434949, 268434941, 268434937, 268434857, 268434841, 268434827,
+    268434821, 268434787, 268434781, 268434779, 268434773, 268434731, 268434721,
+    268434713, 268434707, 268434703, 268434697, 268434659, 268434623, 268434619,
+    268434581, 268434577, 268434563, 268434557, 268434547, 268434511, 268434499,
+)
+_PRIME_BITS = 28
+_LAZY_STEPS = 64  # elimination steps between full reductions of the matrices
+_BATCH_ENTRIES = 1 << 20  # matrix entries evaluated and eliminated together
 
 
-def _plist_mul(f: list[int], g: list[int]) -> list[int]:
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return _plist_trim(out)
+def _primes():
+    """The table, then the primes below it in descending order."""
+    yield from _PRIMES
+    n = _PRIMES[-1]
+    while True:
+        n -= 2
+        if all(n % d for d in range(3, math.isqrt(n) + 1, 2)):
+            yield n
 
 
-def _plist_sub(f: list[int], g: list[int]) -> list[int]:
-    out = list(f) + [0] * (len(g) - len(f))
-    for j, b in enumerate(g):
-        out[j] -= b
-    return _plist_trim(out)
+def _inverse_mod(x: np.ndarray, q: int) -> np.ndarray:
+    """Inverses modulo the prime q elementwise, 0 for 0: x^(q-2) by squaring."""
+    out = np.ones_like(x)
+    e = q - 2
+    while e:
+        if e & 1:
+            out = out * x % q
+        x = x * x % q
+        e >>= 1
+    return out
 
 
-def _plist_divexact(f: list[int], d: list[int]) -> list[int]:
-    """Exact division in Z[t]; valid because Bareiss quotients are minors."""
-    if not f:
-        return []
-    f = list(f)
-    q = [0] * (len(f) - len(d) + 1)
-    dlead = d[-1]
-    for k in range(len(q) - 1, -1, -1):
-        c = f[len(d) - 1 + k]
-        if c % dlead != 0:
-            raise ArithmeticError("non-exact polynomial division")
-        q[k] = c // dlead
-        if q[k]:
-            for j, b in enumerate(d):
-                f[j + k] -= q[k] * b
-    if any(f):
-        raise ArithmeticError("non-exact polynomial division (remainder)")
-    return _plist_trim(q)
+def _det_mod(a: np.ndarray, q: int) -> np.ndarray:
+    """Determinants modulo the prime q of a stack of square matrices.
+
+    a[i, j, b] is entry (i, j) of matrix b, reduced modulo q; the stack is
+    the last axis so every array operation runs along it.  Gaussian
+    elimination with row swaps; entries below the pivot row are reduced
+    only when they become the next pivot's row or column, or every
+    _LAZY_STEPS steps.  A matrix that is singular modulo q meets a zero
+    pivot column and its determinant comes out 0.
+    """
+    m, count = a.shape[1:]
+    det = np.ones(count, dtype=np.int64)
+    odd = np.zeros(count, dtype=bool)
+    for k in range(m):
+        if k and k % _LAZY_STEPS == 0:
+            np.remainder(a[k:, k:], q, out=a[k:, k:])
+        else:
+            np.remainder(a[k:, k], q, out=a[k:, k])
+        first = (a[k:, k] != 0).argmax(axis=0) + k
+        swap = np.flatnonzero(first != k)
+        if len(swap):
+            rows = a[k, :, swap]
+            a[k, :, swap] = a[first[swap], :, swap]
+            a[first[swap], :, swap] = rows
+            odd[swap] ^= True
+        pivot = a[k, k]
+        det = det * pivot % q
+        if k == m - 1:
+            break
+        row = a[k, k + 1:]
+        np.remainder(row, q, out=row)
+        factor = a[k + 1:, k] * _inverse_mod(pivot, q) % q
+        a[k + 1:, k + 1:] -= factor[:, None] * row[None]
+    return np.where(odd, (q - det) % q, det)
 
 
-def _bareiss_det(mat: list[list[list[int]]]) -> list[int]:
-    m = len(mat)
+def _core_det(dense: list[list[list[int]]]) -> list[int]:
+    """Determinant of a square matrix over Z[t], lowest coefficient first.
+
+    Entries are coefficient lists.  The determinant is evaluated at the
+    points 1..D+1 modulo enough primes, interpolated modulo each prime and
+    recombined by the Chinese remainder theorem (von zur Gathen and
+    Gerhard, Modern Computer Algebra, ch. 5).  The bounds are rigorous, so
+    the result is exact.  Once each column is divided by its lowest power
+    of t, D, the sum of the row degrees or of the column degrees, whichever
+    is smaller, bounds the degree.  The product over rows, or over
+    columns, of the L2 norm of the entries' L1 norms bounds |det| on
+    |t| = 1 (Hadamard), hence every coefficient.
+    """
+    m = len(dense)
     if m == 0:
         return [1]
-    prev = [1]
-    for k in range(m - 1):
-        if not mat[k][k]:
-            for r in range(k + 1, m):
-                if mat[r][k]:
-                    mat[k], mat[r] = mat[r], mat[k]  # sign irrelevant up to units
-                    break
-            else:
-                return []
-        for i in range(k + 1, m):
-            for j in range(k + 1, m):
-                num = _plist_sub(
-                    _plist_mul(mat[i][j], mat[k][k]),
-                    _plist_mul(mat[i][k], mat[k][j]),
-                )
-                mat[i][j] = _plist_divexact(num, prev) if num else []
-            mat[i][k] = []
-        prev = mat[k][k]
-    return mat[m - 1][m - 1]
+    if not all(map(any, dense)) or not all(map(any, zip(*dense))):
+        return []  # a zero row or column
+    if m == 1:
+        return list(dense[0][0])
+    # divide each column by its lowest power of t; det gains their product
+    shifts = [
+        min(next(k for k, c in enumerate(e) if c) for e in col if e) for col in zip(*dense)
+    ]
+    dense = [[e[s:] for e, s in zip(row, shifts)] for row in dense]
+    degree = min(
+        sum(max(map(len, line)) - 1 for line in lines) for lines in (dense, zip(*dense))
+    )
+    l1 = [[sum(map(abs, e)) for e in row] for row in dense]
+    bound_sq = min(math.prod(sum(v * v for v in line) for line in lines) for lines in (l1, zip(*l1)))
+    n_pts = degree + 1
+    primes, modulus = [], 1
+    for q in _primes():
+        if modulus * modulus > 4 * bound_sq:
+            break
+        if q <= n_pts:
+            raise ArithmeticError(f"no prime left above {n_pts} evaluation points")
+        primes.append(q)
+        modulus *= q
+    # imported here, not with the module: `import logging` adds about 7 ms
+    # and 0.4 MB to every start-up, and only certify gets this far
+    import logging
+
+    logging.getLogger(__name__).debug(
+        "dense core: %d rows, degree bound %d, coefficient bound %d bits, %d primes",
+        m, degree, (bound_sq.bit_length() + 1) // 2, len(primes),
+    )
+
+    # evaluation: the entries' coefficients times a table of powers, as
+    # float64 products that stay below 2^53 and so are exact; coefficients
+    # are cut into signed limbs of `bits` bits to keep them there
+    width = max(len(e) for row in dense for e in row)
+    bits = 52 - _PRIME_BITS - width.bit_length()
+    if bits < 1:
+        raise ArithmeticError(f"core entries of {width} coefficients are too long")
+    flat = [e + [0] * (width - len(e)) for row in dense for e in row]
+    top = max(abs(c) for e in flat for c in e)
+    coef = np.array(flat, dtype=np.int64 if top < 1 << 63 else object)
+    neg = coef < 0
+    mag = np.where(neg, -coef, coef)
+    limbs = []
+    for j in range(max(1, -(-top.bit_length() // bits))):
+        limb = ((mag >> (j * bits)) & ((1 << bits) - 1)).astype(np.int64)
+        limbs.append(np.where(neg, -limb, limb).astype(np.float64))
+    x = np.arange(1, n_pts + 1, dtype=np.int64)
+    values = np.empty((len(primes), n_pts), dtype=np.int64)
+    step = max(1, _BATCH_ENTRIES // (m * m))
+    for i, q in enumerate(primes):
+        powers = np.empty((width, n_pts), dtype=np.int64)
+        powers[0] = 1
+        for k in range(1, width):
+            powers[k] = powers[k - 1] * x % q
+        powers = powers.astype(np.float64)
+        for lo in range(0, n_pts, step):
+            for j, limb in enumerate(limbs):
+                part = (limb @ powers[:, lo:lo + step]).astype(np.int64) % q
+                mats = part if j == 0 else (mats + part * pow(2, j * bits, q)) % q
+            values[i, lo:lo + step] = _det_mod(mats.reshape(m, m, -1), q)
+
+    # interpolation modulo each prime: Newton divided differences on the
+    # points 1..n_pts, computed in place (consecutive points, so the k-th
+    # pass divides by k), then the Newton form expanded into coefficients
+    pc = np.array(primes, dtype=np.int64)[:, None]
+    newton = values
+    for k in range(1, n_pts):
+        inv = np.array([[pow(k, -1, q)] for q in primes], dtype=np.int64)
+        newton[:, k:] = (newton[:, k:] - newton[:, k - 1:-1]) % pc * inv % pc
+    out = np.zeros_like(newton)
+    out[:, 0] = newton[:, -1]
+    for k in range(n_pts - 2, -1, -1):
+        out[:, 1:] = (out[:, :-1] - (k + 1) * out[:, 1:]) % pc
+        out[:, 0] = (newton[:, k] - (k + 1) * out[:, 0]) % pc[:, 0]
+
+    # Chinese remainder theorem, to the residue nearest zero
+    basis = [modulus // q * pow(modulus // q, -1, q) for q in primes]
+    det = []
+    for residues in out.T.tolist():
+        c = sum(r * b for r, b in zip(residues, basis)) % modulus
+        det.append(c - modulus if 2 * c > modulus else c)
+    while det and det[-1] == 0:
+        det.pop()
+    return [0] * sum(shifts) + det if det else []
 
 
-def _det_up_to_units(rows: dict[int, dict[int, LaurentPoly]]) -> LaurentPoly:
-    """Determinant of a sparse Laurent matrix, up to a unit +-t^k.
+def _dense_core(rows: dict[int, dict[int, LaurentPoly]]) -> list[list[list[int]]] | None:
+    """Eliminate unit-monomial pivots; the square core that is left, or None.
 
-    Unit-monomial pivots are eliminated first with Markowitz ordering; the
-    remaining dense core goes through Bareiss.  Determinant-scaling by
-    units is not tracked since callers normalize.
+    Pivots are taken in Markowitz order: least (column count - 1) * (row
+    length - 1) first, ties to the lower row, then the lower column.  They
+    wait in a heap; an elimination pushes fresh entries for the rows and
+    columns it touched, and entries that went stale are dropped when they
+    come up.  None means the matrix is singular: a row emptied, or the
+    core has fewer columns than rows.
+
+    Each core row is shifted so its lowest exponent is zero (a unit factor)
+    and given as one coefficient list per column, lowest degree first.
     """
     col_rows: dict[int, set[int]] = {}
     for r, row in rows.items():
+        if not row:
+            return None
         for c in row:
             col_rows.setdefault(c, set()).add(r)
+    heap = [
+        ((len(col_rows[c]) - 1) * (len(row) - 1), r, c)
+        for r, row in rows.items()
+        for c, val in row.items()
+        if val.is_unit_monomial()
+    ]
+    heapq.heapify(heap)
 
-    def eliminate(r0: int, c0: int) -> None:
-        pivot_row = rows.pop(r0)
+    def push(r: int, cols) -> None:
+        row = rows[r]
+        n = len(row) - 1
+        for c in cols:
+            if row[c].is_unit_monomial():
+                heapq.heappush(heap, ((len(col_rows[c]) - 1) * n, r, c))
+
+    while heap:
+        cost, r0, c0 = heapq.heappop(heap)
+        pivot_row = rows.get(r0)
+        if (
+            pivot_row is None
+            or c0 not in pivot_row
+            or (len(col_rows[c0]) - 1) * (len(pivot_row) - 1) != cost
+            or not pivot_row[c0].is_unit_monomial()
+        ):
+            continue  # stale
+        del rows[r0]
         pivot = pivot_row[c0]
         k = pivot.min_exp
         coef = pivot.coeff(k)  # +-1
         for c in pivot_row:
             col_rows[c].discard(r0)
-        for r in list(col_rows.get(c0, ())):
+        touched = col_rows.pop(c0)
+        for r in touched:
             row = rows[r]
-            factor = row[c0].shift(-k) * coef  # entry / pivot
+            factor = row.pop(c0).shift(-k) * coef  # entry / pivot
             for c, val in pivot_row.items():
                 if c == c0:
                     continue
                 newv = row.get(c, LaurentPoly.zero()) - factor * val
                 if newv:
                     row[c] = newv
-                    col_rows.setdefault(c, set()).add(r)
+                    col_rows[c].add(r)
                 else:
                     row.pop(c, None)
-                    col_rows.get(c, set()).discard(r)
-            row.pop(c0, None)
-            col_rows[c0].discard(r)
-        col_rows.pop(c0, None)
-
-    singular = False
-    while rows and not singular:
-        best = None
-        for r, row in rows.items():
+                    col_rows[c].discard(r)
             if not row:
-                singular = True
-                break
-            for c, val in row.items():
-                if val.is_unit_monomial():
-                    cost = (len(col_rows[c]) - 1) * (len(row) - 1)
-                    cand = (cost, r, c)
-                    if best is None or cand < best:
-                        best = cand
-        if singular or best is None:
-            break
-        eliminate(best[1], best[2])
-    if singular:
-        return LaurentPoly.zero()
+                return None
+        for r in touched:
+            push(r, rows[r])
+        for c in pivot_row:
+            if c != c0:
+                for r in col_rows[c] - touched:
+                    push(r, (c,))
     if not rows:
-        return LaurentPoly.one()
-    # dense core: shift each row so exponents start at zero, then Bareiss
-    row_ids = sorted(rows)
+        return []
     col_ids = sorted({c for row in rows.values() for c in row})
-    if len(row_ids) != len(col_ids):
-        return LaurentPoly.zero()
+    if len(col_ids) != len(rows):
+        return None
     dense = []
-    for r in row_ids:
+    for r in sorted(rows):
         shift = min(p.min_exp for p in rows[r].values())
         row_lists = []
         for c in col_ids:
@@ -307,10 +446,23 @@ def _det_up_to_units(rows: dict[int, dict[int, LaurentPoly]]) -> LaurentPoly:
             if p is None:
                 row_lists.append([])
             else:
-                q = p.shift(-shift)
-                row_lists.append([q.coeff(e) for e in range(q.max_exp + 1)])
+                row_lists.append([p.coeff(e) for e in range(shift, p.max_exp + 1)])
         dense.append(row_lists)
-    det = _bareiss_det(dense)
+    return dense
+
+
+def _det_up_to_units(rows: dict[int, dict[int, LaurentPoly]]) -> LaurentPoly:
+    """Determinant of a sparse Laurent matrix, up to a unit +-t^k.
+
+    Unit-monomial pivots are eliminated first (`_dense_core`); the
+    determinant of the remaining dense core is computed modulo primes and
+    recombined (`_core_det`).  Determinant-scaling by units is not
+    tracked since callers normalize.
+    """
+    dense = _dense_core(rows)
+    if dense is None:
+        return LaurentPoly.zero()
+    det = _core_det(dense)
     return LaurentPoly({e: v for e, v in enumerate(det)})
 
 
@@ -318,20 +470,8 @@ def _det_up_to_units(rows: dict[int, dict[int, LaurentPoly]]) -> LaurentPoly:
 # the polynomial
 
 
-def alexander(pd: PlanarDiagram) -> LaurentPoly:
-    """Normalized Alexander polynomial of a one-component diagram.
-
-    Raises:
-        MultiComponent: if the diagram has more than one component.
-        ArithmeticError: if internal self-tests fail (singular matrix,
-            asymmetric result, or |value at t=1| != 1), which indicates a
-            malformed diagram rather than bad input data.
-    """
-    if pd.components != 1:
-        raise MultiComponent(f"diagram has {pd.components} components")
-    n = pd.crossing_count
-    if n == 0:
-        return LaurentPoly.one()
+def _wirtinger_rows(pd: PlanarDiagram) -> dict[int, dict[int, LaurentPoly]]:
+    """Abelianized Wirtinger relations, the last crossing's row and last arc's column dropped."""
     arc_of_edge, n_arcs = pd.wirtinger_arcs()
     t = LaurentPoly.t(1)
     one = LaurentPoly.one()
@@ -356,14 +496,30 @@ def alexander(pd: PlanarDiagram) -> LaurentPoly:
             else:
                 row.pop(arc, None)
         rows[idx] = row
-    det = _det_up_to_units(rows)
+    return rows
+
+
+def alexander(pd: PlanarDiagram) -> LaurentPoly:
+    """Normalized Alexander polynomial of a one-component diagram.
+
+    Raises:
+        MultiComponent: if the diagram has more than one component.
+        ArithmeticError: if internal self-tests fail (singular matrix,
+            asymmetric result, or |value at t=1| != 1), which indicates a
+            malformed diagram rather than bad input data.
+    """
+    if pd.components != 1:
+        raise MultiComponent(f"diagram has {pd.components} components")
+    if pd.crossing_count == 0:
+        return LaurentPoly.one()
+    det = _det_up_to_units(_wirtinger_rows(pd))
     if not det:
         raise ArithmeticError("singular Alexander matrix: malformed diagram")
+    if det.span % 2 or not det.is_palindromic():
+        raise ArithmeticError(f"Alexander self-test failed: {det} is not symmetric")
     poly = det.normalize()
     if poly(1) != 1:
         raise ArithmeticError(f"Alexander self-test failed: value at t=1 is {poly(1)}")
-    if not poly.is_palindromic():
-        raise ArithmeticError(f"Alexander self-test failed: {poly} is not symmetric")
     return poly
 
 

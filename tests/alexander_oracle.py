@@ -1,0 +1,249 @@
+"""The Alexander engine as it was: full pivot rescans, Bareiss, all-pairs projection.
+
+A reference for knotfold.alexander.  The unit-pivot elimination rescans
+every row before each pivot, the dense core's determinant comes from
+fraction-free Bareiss elimination with exact polynomial division, and
+the projection tests every pair of non-adjacent segments.  It shares the
+segment predicates (`_seg_relation`, `_crossing_params`) and the Laurent
+arithmetic with the engine, none of the pivot queue, pair prefilter or
+modular arithmetic.
+"""
+
+from fractions import Fraction
+
+from knotfold.alexander import (
+    SHEAR_CANDIDATES,
+    ProjectionDiagram,
+    _crossing_params,
+    _seg_relation,
+)
+from knotfold.diagram import CrossingPass, build_diagram
+from knotfold.errors import NoRegularShear
+from knotfold.lattice import LatticeKnot, canonicalize
+from knotfold.laurent import LaurentPoly
+
+
+def project_oracle(k: LatticeKnot) -> ProjectionDiagram:
+    """Regular planar diagram of a lattice knot via an integer shear.
+
+    Points map to (S*x + a*z, S*y + b*z) for small coprime (a, b) and a
+    scale S large enough that segments from different lattice lines cannot
+    collide; candidates are tried in a fixed order and the first shear
+    giving a regular projection wins.
+    """
+    k = canonicalize(k)
+    corners = k.corners
+    n = len(corners)
+    spans = [
+        max(c[i] for c in corners) - min(c[i] for c in corners) for i in range(3)
+    ]
+    diam = max(max(spans), 1)
+    for a, b in SHEAR_CANDIDATES:
+        scale = (a * a + b * b + 2) * (diam + 2)
+        pts2 = [(scale * x + a * z, scale * y + b * z) for x, y, z in corners]
+        zs = [c[2] for c in corners]
+        segs = [(pts2[i], pts2[(i + 1) % n]) for i in range(n)]
+        regular = True
+        events: dict[int, list] = {i: [] for i in range(n)}
+        for i in range(n):
+            for j in range(i + 1, n):
+                adjacent = j == i + 1 or (i == 0 and j == n - 1)
+                if adjacent:
+                    continue
+                rel = _seg_relation(*segs[i], *segs[j])
+                if rel == "bad":
+                    regular = False
+                    break
+                if rel != "proper":
+                    continue
+                t, s = _crossing_params(*segs[i], *segs[j])
+                zi = Fraction(zs[i]) + t * (zs[(i + 1) % n] - zs[i])
+                zj = Fraction(zs[j]) + s * (zs[(j + 1) % n] - zs[j])
+                if zi == zj:
+                    regular = False  # would be a 3D self-intersection
+                    break
+                key = (i, j)
+                i_over = zi > zj
+                events[i].append((t, key, i_over, j))
+                events[j].append((s, key, not i_over, i))
+            if not regular:
+                break
+        if not regular:
+            continue
+        passes: list[CrossingPass] = []
+        for i in range(n):
+            di = (
+                segs[i][1][0] - segs[i][0][0],
+                segs[i][1][1] - segs[i][0][1],
+            )
+            for t, key, is_over, j in sorted(events[i], key=lambda e: e[0]):
+                dj = (
+                    segs[j][1][0] - segs[j][0][0],
+                    segs[j][1][1] - segs[j][0][1],
+                )
+                over_dir = di if is_over else dj
+                under_dir = dj if is_over else di
+                passes.append(CrossingPass(key, is_over, over_dir, under_dir))
+        pd = build_diagram(passes)
+        return ProjectionDiagram(
+            crossings=pd.crossings,
+            n_edges=pd.n_edges,
+            components=1,
+            shear=(a, b),
+            scale=scale,
+        )
+    raise NoRegularShear(
+        f"no candidate shear in {SHEAR_CANDIDATES} projects this knot regularly"
+    )
+
+
+def _plist_trim(p: list[int]) -> list[int]:
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _plist_mul(f: list[int], g: list[int]) -> list[int]:
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+    return _plist_trim(out)
+
+
+def _plist_sub(f: list[int], g: list[int]) -> list[int]:
+    out = list(f) + [0] * (len(g) - len(f))
+    for j, b in enumerate(g):
+        out[j] -= b
+    return _plist_trim(out)
+
+
+def _plist_divexact(f: list[int], d: list[int]) -> list[int]:
+    """Exact division in Z[t]; valid because Bareiss quotients are minors."""
+    if not f:
+        return []
+    f = list(f)
+    q = [0] * (len(f) - len(d) + 1)
+    dlead = d[-1]
+    for k in range(len(q) - 1, -1, -1):
+        c = f[len(d) - 1 + k]
+        if c % dlead != 0:
+            raise ArithmeticError("non-exact polynomial division")
+        q[k] = c // dlead
+        if q[k]:
+            for j, b in enumerate(d):
+                f[j + k] -= q[k] * b
+    if any(f):
+        raise ArithmeticError("non-exact polynomial division (remainder)")
+    return _plist_trim(q)
+
+
+def bareiss_det(mat: list[list[list[int]]]) -> list[int]:
+    m = len(mat)
+    if m == 0:
+        return [1]
+    prev = [1]
+    for k in range(m - 1):
+        if not mat[k][k]:
+            for r in range(k + 1, m):
+                if mat[r][k]:
+                    mat[k], mat[r] = mat[r], mat[k]  # sign irrelevant up to units
+                    break
+            else:
+                return []
+        for i in range(k + 1, m):
+            for j in range(k + 1, m):
+                num = _plist_sub(
+                    _plist_mul(mat[i][j], mat[k][k]),
+                    _plist_mul(mat[i][k], mat[k][j]),
+                )
+                mat[i][j] = _plist_divexact(num, prev) if num else []
+            mat[i][k] = []
+        prev = mat[k][k]
+    return mat[m - 1][m - 1]
+
+
+def dense_core_oracle(rows: dict[int, dict[int, LaurentPoly]]):
+    """Eliminate unit pivots by a full Markowitz rescan before every pivot.
+
+    Returns the dense core as coefficient lists (rows shifted to start at
+    exponent zero), [] when nothing is left, or None when singular.
+    """
+    col_rows: dict[int, set[int]] = {}
+    for r, row in rows.items():
+        for c in row:
+            col_rows.setdefault(c, set()).add(r)
+
+    def eliminate(r0: int, c0: int) -> None:
+        pivot_row = rows.pop(r0)
+        pivot = pivot_row[c0]
+        k = pivot.min_exp
+        coef = pivot.coeff(k)  # +-1
+        for c in pivot_row:
+            col_rows[c].discard(r0)
+        for r in list(col_rows.get(c0, ())):
+            row = rows[r]
+            factor = row[c0].shift(-k) * coef  # entry / pivot
+            for c, val in pivot_row.items():
+                if c == c0:
+                    continue
+                newv = row.get(c, LaurentPoly.zero()) - factor * val
+                if newv:
+                    row[c] = newv
+                    col_rows.setdefault(c, set()).add(r)
+                else:
+                    row.pop(c, None)
+                    col_rows.get(c, set()).discard(r)
+            row.pop(c0, None)
+            col_rows[c0].discard(r)
+        col_rows.pop(c0, None)
+
+    singular = False
+    while rows and not singular:
+        best = None
+        for r, row in rows.items():
+            if not row:
+                singular = True
+                break
+            for c, val in row.items():
+                if val.is_unit_monomial():
+                    cost = (len(col_rows[c]) - 1) * (len(row) - 1)
+                    cand = (cost, r, c)
+                    if best is None or cand < best:
+                        best = cand
+        if singular or best is None:
+            break
+        eliminate(best[1], best[2])
+    if singular:
+        return None
+    if not rows:
+        return []
+    # dense core: shift each row so exponents start at zero, then Bareiss
+    row_ids = sorted(rows)
+    col_ids = sorted({c for row in rows.values() for c in row})
+    if len(row_ids) != len(col_ids):
+        return None
+    dense = []
+    for r in row_ids:
+        shift = min(p.min_exp for p in rows[r].values())
+        row_lists = []
+        for c in col_ids:
+            p = rows[r].get(c)
+            if p is None:
+                row_lists.append([])
+            else:
+                q = p.shift(-shift)
+                row_lists.append([q.coeff(e) for e in range(q.max_exp + 1)])
+        dense.append(row_lists)
+    return dense
+
+
+def det_up_to_units_oracle(rows: dict[int, dict[int, LaurentPoly]]) -> LaurentPoly:
+    dense = dense_core_oracle(rows)
+    if dense is None:
+        return LaurentPoly.zero()
+    return LaurentPoly({e: v for e, v in enumerate(bareiss_det(dense))})
+

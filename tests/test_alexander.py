@@ -1,7 +1,12 @@
+import importlib
+import itertools
+import logging
+import math
+
 import pytest
 
 from conway_oracle import alexander_via_conway, torus_alexander
-from knotfold.alexander import alexander, project, same_knot_certificate
+from knotfold.alexander import _primes, alexander, project, same_knot_certificate
 from knotfold.errors import MultiComponent
 from knotfold.grid import grid_to_planar, parse_grid, random_grid
 from knotfold.lattice import settle
@@ -68,6 +73,28 @@ class TestAlexander:
                 assert poly.is_palindromic()
                 assert poly.normalize() == poly
                 assert poly.min_exp == -poly.max_exp if poly.span else True
+
+    def test_odd_span_determinant_fails_self_test(self, monkeypatch):
+        # 1 + t passes the palindrome test but cannot be centred; it must
+        # fail as a self-test, not escape from normalize() as ValueError
+        engine = importlib.import_module("knotfold.alexander")  # the package attribute is the function
+        monkeypatch.setattr(engine, "_det_up_to_units", lambda rows: LaurentPoly({0: 1, 1: 1}))
+        with pytest.raises(ArithmeticError, match="self-test"):
+            alexander(grid_to_planar(parse_grid("X: 1,2,3,4,5\nO: 3,4,5,1,2\n")))
+
+    def test_dense_core_logged_at_debug(self, caplog):
+        pd = grid_to_planar(random_grid(48, 1))  # its dense core has 7 rows
+        with caplog.at_level(logging.DEBUG, logger="knotfold.alexander"):
+            poly = alexander(pd)
+        records = [r for r in caplog.records if r.name == "knotfold.alexander"]
+        assert len(records) == 1
+        rows, degree, bits, primes = records[0].args
+        assert rows == 7 and degree >= rows
+        # the engine takes primes until their product exceeds twice the
+        # coefficient bound B, and the record's bits say 2^(bits-1) <= B < 2^bits
+        used = list(itertools.islice(_primes(), primes))
+        assert math.prod(used) > 2**bits and math.prod(used[:-1]) < 2 ** (bits + 1)
+        assert alexander(pd) == poly  # logging changes nothing
 
     def test_multicomponent_rejected(self):
         from knotfold.diagram import PlanarDiagram
