@@ -9,8 +9,9 @@ and the piece count stays exactly twice the corner count.
 
 Thickness is measured, not assumed: curvature radius is exactly 1 by
 construction and the minimum distance between non-adjacent pieces is
-computed by exact segment-segment formulas plus certified subdivision
-(Lipschitz and curvature bounds) for arcs, to 1e-9.
+exact.  Straights and parallel arcs have closed forms; arcs in
+perpendicular planes reduce to one angle, whose stationary points are
+roots of an integer polynomial isolated by Sturm sequences.
 
 The scan measures only candidate pairs.  Each piece's integer bounding
 box is hashed into cells of side 4, and the candidates are the
@@ -22,10 +23,10 @@ scan repeats, until at the knot's own extent every pair is a candidate.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 
@@ -212,7 +213,6 @@ def _seg_seg_batch(p1, q1, p2, q2):
 
 _QUARTER = math.pi / 2
 _TOL = 1e-10
-_MAX_CELLS = 20_000
 
 
 def _in_cone(wu: float, wv: float) -> bool:
@@ -320,171 +320,168 @@ def _arc_arc_parallel_dist(a1: ArcPiece, a2: ArcPiece, n_axis: int) -> float:
 
 
 def _arc_arc_dist(a1: ArcPiece, a2: ArcPiece, cutoff: float) -> float:
-    """Min distance between quarter arcs, never above the true value.
+    """Exact min distance between two quarter arcs.
 
-    Parallel-plane pairs are exact; perpendicular ones use best-first
-    certified subdivision to 1e-10, pruning with the better of the
-    curvature bound f >= f(m) - |grad|*w - w^2/2 and interval bounds on
-    the trigonometric expansion of f^2 (grouped three ways so bounds stay
-    exact along axis and diagonal valleys).  If the refinement budget is
-    ever exhausted the certified lower bound is returned instead, which
-    only under-reports adversarial configurations that valid doubled
-    lattice knots cannot produce.
+    Parallel planes have a closed form.  For perpendicular planes, g(phi)
+    is the exact distance from arc 2's point at angle phi to arc 1; its
+    minimum is at an arc end or at a root of `_stationary_poly` (Neff
+    1990; Eberly, "Distance to Circles in 3D").  g is evaluated at each
+    candidate, so the answer is a true distance between the arcs.
+
+    g is 1-Lipschitz in phi: when g sampled every pi/8 stays pi/16 above
+    `cutoff`, so does the true minimum, and the sampled one is returned.
     """
     n1 = next(i for i in range(3) if a1.u[i] == 0 and a1.v[i] == 0)
     n2 = next(i for i in range(3) if a2.u[i] == 0 and a2.v[i] == 0)
     if n1 == n2:
         return _arc_arc_parallel_dist(a1, a2, n1)
-    c1, u1, v1 = a1.center, a1.u, a1.v
-    c2, u2, v2 = a2.center, a2.u, a2.v
-    dc = (c2[0] - c1[0], c2[1] - c1[1], c2[2] - c1[2])
+    points = [a2.start, *(a2.point(k * _QUARTER / 4) for k in (1, 2, 3)), a2.end]
+    best = min(_point_arc_dist(p, a1) for p in points)
+    if best - _QUARTER / 8 >= cutoff - _TOL:
+        return best
+    cands = [best, _point_arc_dist(a1.start, a2), _point_arc_dist(a1.end, a2)]
+    for t in _unit_roots(_stationary_poly(a1, a2)):
+        cands.append(_point_arc_dist(a2.point(2.0 * math.atan(t)), a1))
+    return min(cands)
+
+
+def _stationary_poly(a1: ArcPiece, a2: ArcPiece) -> list[int]:
+    """Integer polynomial in t = tan(phi/2), coefficients from t^0 up, that
+    vanishes wherever the arcs are nearest at points inside both of them.
+
+    With w = p - c1, X = w.u1, Y = w.v1 and A = w.w' (only the center
+    offset adds to A), the distance to arc 1's circle is stationary where
+    A hypot(X, Y) = X X' + Y Y'.  Squared, in the numerators over
+    1 + t^2: An^2 (Xn^2 + Yn^2) = (Xn Xn' + Yn Yn')^2, of degree <= 8.
+    If that vanishes identically, An Xn Yn is used: stationary |w| and the
+    edges of arc 1's quarter.
+    """
+    dc = tuple(b - a for a, b in zip(a1.center, a2.center))
 
     def dot(x, y):
         return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
 
-    # f^2 = |dc|^2 + 2 - 2 dc.e1 + 2 dc.e2 - 2 e1.e2
-    k0 = float(dot(dc, dc)) + 2.0
-    p1, q1 = float(dot(dc, u1)), float(dot(dc, v1))
-    p2, q2 = float(dot(dc, u2)), float(dot(dc, v2))
-    uu_ = float(dot(u1, u2))
-    uv_ = float(dot(u1, v2))
-    vu_ = float(dot(v1, u2))
-    vv_ = float(dot(v1, v2))
-    a_m, c_m = 0.5 * (uu_ + vv_), 0.5 * (vu_ - uv_)
-    a_p, c_p = 0.5 * (uu_ - vv_), 0.5 * (uv_ + vu_)
+    def numerators(axis):
+        k, c, s = dot(dc, axis), dot(a2.u, axis), dot(a2.v, axis)
+        return [k + c, 2 * s, k - c], [s, -2 * c, -s]
 
-    def at1(t):
-        ct, st = math.cos(t), math.sin(t)
-        return (
-            c1[0] + ct * u1[0] + st * v1[0],
-            c1[1] + ct * u1[1] + st * v1[1],
-            c1[2] + ct * u1[2] + st * v1[2],
-        )
+    xn, xd = numerators(a1.u)
+    yn, yd = numerators(a1.v)
+    an = [dot(dc, a2.v), -2 * dot(dc, a2.u), -dot(dc, a2.v)]
+    cross = _padd(_pmul(xn, xd), _pmul(yn, yd))
+    poly = _padd(
+        _pmul(_pmul(an, an), _padd(_pmul(xn, xn), _pmul(yn, yn))),
+        [-c for c in _pmul(cross, cross)],
+    )
+    if poly:
+        return poly
+    for factor in (an, xn, yn):
+        if _trim(factor):
+            poly = _pmul(poly or [1], factor)
+    return poly
 
-    def at2(t):
-        ct, st = math.cos(t), math.sin(t)
-        return (
-            c2[0] + ct * u2[0] + st * v2[0],
-            c2[1] + ct * u2[1] + st * v2[1],
-            c2[2] + ct * u2[2] + st * v2[2],
-        )
 
-    def interval_lb2(lo1, hi1, lo2, hi2):
-        # expansion in the rotated angles t1-t2 and t1+t2; exact along
-        # diagonal valleys such as coaxial stacked pairs
-        e1_max = _wave_range(p1, q1, lo1, hi1)[1]
-        e2_min = _wave_range(p2, q2, lo2, hi2)[0]
-        dot_max = (
-            _wave_range(a_m, c_m, lo1 - hi2, hi1 - lo2)[1]
-            + _wave_range(a_p, c_p, lo1 + lo2, hi1 + hi2)[1]
-        )
-        diag = k0 - 2.0 * e1_max + 2.0 * e2_min - 2.0 * dot_max
-        # grouped forms f^2 = W0(t1) + Wc(t1) cos(t2) + Ws(t1) sin(t2) and
-        # symmetrically; exact along valleys parallel to either angle axis
-        # (cos and sin are nonnegative on the quarter ranges)
-        w0_lo = k0 + 2.0 * _wave_range(-p1, -q1, lo1, hi1)[0]
-        wc_lo = 2.0 * p2 + 2.0 * _wave_range(-uu_, -vu_, lo1, hi1)[0]
-        ws_lo = 2.0 * q2 + 2.0 * _wave_range(-uv_, -vv_, lo1, hi1)[0]
-        by_psi = w0_lo + _wave_range(wc_lo, ws_lo, lo2, hi2)[0]
-        v0_lo = k0 + 2.0 * _wave_range(p2, q2, lo2, hi2)[0]
-        vc_lo = -2.0 * p1 + 2.0 * _wave_range(-uu_, -uv_, lo2, hi2)[0]
-        vs_lo = -2.0 * q1 + 2.0 * _wave_range(-vu_, -vv_, lo2, hi2)[0]
-        by_theta = v0_lo + _wave_range(vc_lo, vs_lo, lo1, hi1)[0]
-        return max(diag, by_psi, by_theta)
+def _trim(p: list[int]) -> list[int]:
+    """Drop zero leading coefficients in place; the zero polynomial is []."""
+    while p and p[-1] == 0:
+        p.pop()
+    return p
 
-    best = math.inf
 
-    def visit(lo1, hi1, lo2, hi2):
-        """Evaluate the cell midpoint and return the cell's lower bound."""
-        nonlocal best
-        m1 = 0.5 * (lo1 + hi1)
-        m2 = 0.5 * (lo2 + hi2)
-        w1 = 0.5 * (hi1 - lo1)
-        w2 = 0.5 * (hi2 - lo2)
-        pa, pb = at1(m1), at2(m2)
-        dx, dy, dz = pa[0] - pb[0], pa[1] - pb[1], pa[2] - pb[2]
-        fm = math.sqrt(dx * dx + dy * dy + dz * dz)
-        if fm < best:
-            best = fm
-        lb2 = interval_lb2(lo1, hi1, lo2, hi2)
-        lb = math.sqrt(lb2) if lb2 > 0 else 0.0
-        if fm > 0.0:
-            c1m, s1m = math.cos(m1), math.sin(m1)
-            c2m, s2m = math.cos(m2), math.sin(m2)
-            s1 = abs(
-                dx * (c1m * v1[0] - s1m * u1[0])
-                + dy * (c1m * v1[1] - s1m * u1[1])
-                + dz * (c1m * v1[2] - s1m * u1[2])
-            ) / fm
-            s2 = abs(
-                dx * (c2m * v2[0] - s2m * u2[0])
-                + dy * (c2m * v2[1] - s2m * u2[1])
-                + dz * (c2m * v2[2] - s2m * u2[2])
-            ) / fm
-            lb = max(lb, fm - s1 * w1 - s2 * w2 - 0.5 * (w1 * w1 + w2 * w2))
-        return lb
+def _padd(a: list[int], b: list[int]) -> list[int]:
+    return _trim([x + y for x, y in zip_longest(a, b, fillvalue=0)])
 
-    # seed the upper bound on the dyadic grid: flat valleys of these
-    # integer-frame configurations attain their minimum at multiples of
-    # pi/4, which dyadic cell midpoints otherwise approach only slowly
-    for i in range(3):
-        for j in range(3):
-            best = min(best, math.dist(at1(i * _QUARTER / 2), at2(j * _QUARTER / 2)))
-    # best-first refinement: always split the cell with the least lower
-    # bound, so near-tied local basins cannot be refined to exhaustion
-    # before the cell holding the true minimum is visited.  The split
-    # axis is chosen by which split tightens the children's bounds more:
-    # along a valley flat in one angle, splitting that angle is useless
-    # and only the other direction shrinks the slack.
-    root = (0.0, _QUARTER, 0.0, _QUARTER)
-    heap = [(visit(*root), root)]
-    cells = 0
-    while heap:
-        cells += 1
-        if cells > _MAX_CELLS:
-            # certain adversarial integer frames (arcs meeting the other
-            # arc's axis) produce product-form valleys no additive bound
-            # certifies cheaply; the heap minimum is still a true lower
-            # bound, so returning it keeps thickness checks conservative.
-            # Doubled lattice knots cannot reach this branch: their arc
-            # centers are never axis-aligned with another arc's frame.
-            return max(0.0, min(best, heap[0][0]))
-        lb, (lo1, hi1, lo2, hi2) = heapq.heappop(heap)
-        if lb >= min(best, cutoff) - _TOL:
+
+def _pmul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _pdivmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """Pseudo-division: (q, r) with |lc(b)|^k a = q b + r for some k, deg r < deg b."""
+    scale, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
+    q, r = [0] * max(len(a) - len(b) + 1, 0), list(a)
+    while len(r) >= len(b):
+        k, c = len(r) - len(b), sign * r[-1]
+        q = [scale * x for x in q]
+        q[k] += c
+        r = [scale * x for x in r]
+        for i, y in enumerate(b):
+            r[k + i] -= c * y
+        _trim(r)
+    return _trim(q), r
+
+
+def _primitive(p: list[int]) -> list[int]:
+    g = math.gcd(*p)
+    return [c // g for c in p]
+
+
+def _sturm(p: list[int]) -> list[list[int]]:
+    """Sturm sequence of p, each member scaled by a positive constant."""
+    chain = [p, _primitive([i * c for i, c in enumerate(p)][1:])]
+    while len(chain[-1]) > 1:
+        r = _pdivmod(chain[-2], chain[-1])[1]
+        if not r:
             break
-        m1 = 0.5 * (lo1 + hi1)
-        m2 = 0.5 * (lo2 + hi2)
-        split1 = ((lo1, m1, lo2, hi2), (m1, hi1, lo2, hi2))
-        split2 = ((lo1, hi1, lo2, m2), (lo1, hi1, m2, hi2))
-        scored = []
-        for children, width in ((split1, hi1 - lo1), (split2, hi2 - lo2)):
-            bounds = tuple(visit(*child) for child in children)
-            scored.append(((min(bounds), width), bounds, children))
-        _score, bounds, children = max(scored, key=lambda s: s[0])
-        for child_lb, child in zip(bounds, children):
-            if child_lb < min(best, cutoff) - _TOL:
-                heapq.heappush(heap, (child_lb, child))
-    return best
+        chain.append([-c for c in _primitive(r)])
+    return chain
 
 
-def _cos_range_max(phase: float, lo: float, hi: float) -> float:
-    """max of cos(t - phase) for t in [lo, hi]."""
-    k = math.floor((lo - phase) / (2 * math.pi))
-    for cand in (phase + 2 * math.pi * k, phase + 2 * math.pi * (k + 1)):
-        if lo <= cand <= hi:
-            return 1.0
-    return max(math.cos(lo - phase), math.cos(hi - phase))
+def _sign_at(p: list[int], x: Fraction) -> int:
+    n, d = x.numerator, x.denominator
+    val = sum(c * n**i * d ** (len(p) - 1 - i) for i, c in enumerate(p))
+    return (val > 0) - (val < 0)
 
 
-def _wave_range(a: float, b: float, lo: float, hi: float) -> tuple[float, float]:
-    """Range of a*cos(t) + b*sin(t) over [lo, hi]."""
-    r = math.hypot(a, b)
-    if r == 0.0:
-        return 0.0, 0.0
-    phase = math.atan2(b, a)
-    top = r * _cos_range_max(phase, lo, hi)
-    bot = -r * _cos_range_max(phase + math.pi, lo, hi)
-    return bot, top
+def _unit_roots(p: list[int]) -> list[float]:
+    """The distinct real roots of p in (0, 1], as floats.
+
+    The Sturm sequence of p's square-free part counts its roots in any
+    (a, b] exactly, even where a or b is a root; halving isolates them.
+    """
+    if len(p) < 2:
+        return []
+    chain = _sturm(p)
+    if len(chain[-1]) > 1:  # the last member is gcd(p, p'): divide repeated roots out
+        p = _primitive(_pdivmod(p, chain[-1])[0])
+        chain = _sturm(p)
+
+    def variations(x):
+        signs = [s for s in (_sign_at(c, x) for c in chain) if s]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    roots = []
+    todo = [(Fraction(0), variations(Fraction(0)), Fraction(1), variations(Fraction(1)))]
+    while todo:
+        a, va, b, vb = todo.pop()
+        if va - vb == 1:
+            roots.append(_refine_root(p, a, b))
+        elif va > vb:
+            m = (a + b) / 2
+            vm = variations(m)
+            todo += [(a, va, m, vm), (m, vm, b, vb)]
+    return roots
+
+
+def _refine_root(p: list[int], a: Fraction, b: Fraction) -> float:
+    """The one root of the square-free p in (a, b], by float bisection."""
+    side = _sign_at(p, b)
+    top = max(map(abs, p))
+    coeffs = [c / top for c in reversed(p)]
+    lo, hi = float(a), float(b)
+    while side and lo < (mid := 0.5 * (lo + hi)) < hi:
+        val = 0.0
+        for c in coeffs:
+            val = val * mid + c
+        if (val > 0.0) == (side > 0):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 _CELL = 4

@@ -1,8 +1,10 @@
-"""Fuzz the closed-form and subdivision distance kernels against dense
-sampling.  These kernels decide the thickness certificate, so each one is
-checked under random axis-aligned configurations of the kind the pipeline
-produces (integer centers, unit axis frames, axis-parallel segments)."""
+"""Fuzz the exact distance kernels against dense sampling.  These kernels
+decide the thickness certificate, so each one is checked under random
+axis-aligned configurations of the kind the pipeline produces (integer
+centers, unit axis frames, axis-parallel segments), and the arc-arc kernel
+also under every perpendicular frame pair at unit offsets."""
 
+import itertools
 import math
 import random
 
@@ -13,10 +15,10 @@ from knotfold.rope import (
     ArcPiece,
     _arc_arc_dist,
     _arc_seg_dist,
-    _cos_range_max,
     _point_arc_dist,
+    _pmul,
     _seg_seg_batch,
-    _wave_range,
+    _unit_roots,
 )
 
 AXES = [
@@ -60,27 +62,6 @@ def brute_min(points_a, points_b):
         d = np.linalg.norm(chunk[:, None, :] - pb[None, :, :], axis=2)
         best = min(best, float(d.min()))
     return best
-
-
-def test_cos_range_max():
-    assert _cos_range_max(0.3, 0.0, math.pi / 2) == 1.0
-    assert _cos_range_max(2.0, 0.0, math.pi / 2) == pytest.approx(math.cos(math.pi / 2 - 2.0))
-    assert _cos_range_max(-9.0, 0.0, 0.5) == pytest.approx(
-        max(math.cos(9.0), math.cos(0.5 + 9.0))
-    )
-
-
-def test_wave_range_contains_samples():
-    rng = random.Random(7)
-    for _ in range(200):
-        a, b = rng.uniform(-3, 3), rng.uniform(-3, 3)
-        lo = rng.uniform(-7, 7)
-        hi = lo + rng.uniform(0, 4)
-        bot, top = _wave_range(a, b, lo, hi)
-        for i in range(50):
-            t = lo + (hi - lo) * i / 49
-            val = a * math.cos(t) + b * math.sin(t)
-            assert bot - 1e-9 <= val <= top + 1e-9
 
 
 def test_point_arc_against_sampling():
@@ -158,12 +139,57 @@ def test_arc_seg_flat_valley_terminates():
     assert _arc_seg_dist(arc, a2, b2) == pytest.approx(math.sqrt(1 + 4), abs=1e-12)
 
 
-def test_adversarial_product_valley_is_conservative():
-    # arcs meeting each other's axes create a product-form valley that
-    # exhausts the refinement budget; the result must then be a certified
-    # lower bound within a small gap of the true minimum (exactly 1 here)
+def test_adversarial_product_valley_is_exact():
+    # arcs meeting each other's axes: a product-form valley in the two
+    # angles, at distance exactly 1
     a1 = ArcPiece(center=(-5, -4, 6), u=(-1, 0, 0), v=(0, -1, 0))
     a2 = ArcPiece(center=(-5, -5, 6), u=(0, 1, 0), v=(0, 0, -1))
-    d = _arc_arc_dist(a1, a2, cutoff=math.inf)
-    assert d <= 1.0
-    assert d >= 1.0 - 1e-6
+    assert _arc_arc_dist(a1, a2, cutoff=math.inf) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_unit_roots_repeated_and_at_the_ends():
+    # t (t - 1) (t - 2) (4t - 1) (2t - 1)^2 (8t - 7)^3: the distinct roots in
+    # (0, 1] are 1/4, 1/2, 7/8 and 1, each reported once; 0 is left out
+    p = [1]
+    for factor in ([0, 1], [-1, 1], [-2, 1], [-1, 4], [-1, 2], [-1, 2], [-7, 8], [-7, 8], [-7, 8]):
+        p = _pmul(p, factor)
+    assert sorted(_unit_roots(p)) == pytest.approx([0.25, 0.5, 0.875, 1.0], abs=1e-15)
+    assert _unit_roots([3]) == [] and _unit_roots([1, 1]) == []
+
+
+FRAMES = [(u, v) for u in AXES for v in AXES if sum(x * y for x, y in zip(u, v)) == 0]
+
+
+def plane_normal(u, v):
+    return next(i for i in range(3) if u[i] == 0 and v[i] == 0)
+
+
+def test_arc_arc_perpendicular_frames_at_unit_offsets():
+    # every frame pair in perpendicular planes, arc 2 offset by a vector in
+    # {-1, 0, 1}^3.  This holds the pairs whose stationarity polynomial
+    # vanishes identically (a unit offset along the axis both planes
+    # share) and the touching pairs; two such circles meet only at integer
+    # points, which on a quarter arc are its ends.
+    n = 33
+    theta = np.linspace(0.0, math.pi / 2, n)
+    cos_sin = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    gap = (math.pi / 2) / (n - 1)  # the distance is 1-Lipschitz in each angle
+    offsets = list(itertools.product((-1, 0, 1), repeat=3))
+    touching = 0
+    for u1, v1 in FRAMES:
+        a1 = ArcPiece(center=(0, 0, 0), u=u1, v=v1)
+        pts1 = cos_sin @ np.array([u1, v1], float)
+        for u2, v2 in FRAMES:
+            if plane_normal(u1, v1) == plane_normal(u2, v2):
+                continue
+            pts2 = cos_sin @ np.array([u2, v2], float)
+            diff = pts1[None, :, None] - pts2[None, None] - np.array(offsets, float)[:, None, None]
+            sampled = np.linalg.norm(diff, axis=3).min(axis=(1, 2))
+            for offset, ref in zip(offsets, sampled):
+                a2 = ArcPiece(center=offset, u=u2, v=v2)
+                d = _arc_arc_dist(a1, a2, cutoff=math.inf)
+                assert ref - gap <= d <= ref + 1e-9, (a1, a2)
+                if {a1.start, a1.end} & {a2.start, a2.end}:
+                    touching += 1
+                    assert d == pytest.approx(0.0, abs=1e-12), (a1, a2)
+    assert touching > 0

@@ -123,12 +123,11 @@ def random_turning_polygon(rng, sticks):
             return knot
 
 
-def test_random_crossing_polygons():
+@pytest.mark.parametrize("seed", [1, 5])
+def test_random_crossing_polygons(seed):
     # unlike lattice knots these come closer than 2, down to touching, so
     # a candidate the cell hash loses cannot hide behind another pair at 2
-    # (this seed happens to draw no pair of arcs that exhausts the arc-arc
-    # subdivision budget, which costs both scans about 1.5 s per pair)
-    rng = random.Random(5)
+    rng = random.Random(seed)
     below_two = 0
     for idx in range(300):
         knot = random_turning_polygon(rng, 4 + idx % 10)
