@@ -29,7 +29,7 @@ from .grid import GridDiagram, grid_to_planar, parse_grid, random_grid
 from .lattice import parse_lattice, serialize_lattice, validate_lattice
 from .laurent import LaurentPoly
 from .pipeline import run_pipeline
-from .rope import export_geometry, rope_metrics, smooth
+from .rope import check_density, export_geometry, rope_metrics, smooth
 
 
 @dataclass(frozen=True)
@@ -261,6 +261,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_export(args) -> int:
+    if args.format in ("polyline", "both"):
+        check_density(args.density)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     specs = _resolve_inputs(args)
@@ -363,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(p_exp)
     p_exp.add_argument("--format", choices=("polyline", "arcs", "both"), default="both")
     p_exp.add_argument("--density", type=int, default=32,
-                       help="polyline samples per arc (min 8)")
+                       help="polyline samples per arc, 8..4096 (default 32); "
+                            "each coordinate is printed with .17g")
     p_exp.set_defaults(func=cmd_export)
 
     p_tab = sub.add_parser("table", help="print the bound table for a crossing range")

@@ -54,7 +54,7 @@ class DegenerateKnot(KnotfoldError):
 
 
 class BadDensity(KnotfoldError):
-    """Polyline export needs at least 8 sample points per arc."""
+    """Polyline export needs 8..4096 sample points per arc."""
 
 
 class NoRegularShear(KnotfoldError):

@@ -637,11 +637,24 @@ def _min_self_distance(s: SmoothKnot) -> float:
 # geometry export / import
 
 
+_MIN_DENSITY, _MAX_DENSITY = 8, 4096
+
+
+def check_density(density: int) -> None:
+    """Refuse a polyline sample count outside 8..4096 per arc."""
+    if not _MIN_DENSITY <= density <= _MAX_DENSITY:
+        raise BadDensity(
+            f"polyline export needs {_MIN_DENSITY}..{_MAX_DENSITY} points per arc, got {density}"
+        )
+
+
 def export_geometry(s: SmoothKnot, form: str = "polyline", density: int = 32) -> str:
     """Emit the smooth curve for external tools.
 
-    polyline: closed 3D polyline, `density` samples per arc plus one
-    vertex at the start of every positive-length straight piece.
+    polyline: closed 3D polyline, one `x y z` line per vertex, each
+    coordinate printed with `.17g`: `density` samples per arc (8..4096,
+    else BadDensity), at theta_j = j*(pi/2)/density for j < density, plus
+    one vertex at the start of every positive-length straight piece.
     arcs: exact piece records `SEG x0 y0 z0 x1 y1 z1` and
     `ARC cx cy cz ux uy uz vx vy vz`, integer coordinates throughout.
     """
@@ -657,16 +670,27 @@ def export_geometry(s: SmoothKnot, form: str = "polyline", density: int = 32) ->
         return "\n".join(lines) + "\n"
     if form != "polyline":
         raise ValueError(f"unknown form {form!r}")
-    if density < 8:
-        raise BadDensity(f"polyline export needs >= 8 points per arc, got {density}")
-    verts: list[tuple[float, float, float]] = []
+    check_density(density)
+    trig = [(math.cos(t), math.sin(t)) for t in (j * _QUARTER / density for j in range(density))]
+    # one axis of an arc sample is c + cos*a + sin*b, ArcPiece.point's float
+    # expression, so its column of formatted strings depends only on
+    # (c, a, b), and arcs share columns: format each key once per call
+    columns: dict[tuple[int, int, int], list[str]] = {}
+
+    def column(key: tuple[int, int, int]) -> list[str]:
+        col = columns.get(key)
+        if col is None:
+            c, a, b = key
+            col = columns[key] = [f"{c + ct * a + st * b:.17g}" for ct, st in trig]
+        return col
+
+    lines: list[str] = []
     for p in s.pieces:
         if isinstance(p, ArcPiece):
-            for j in range(density):
-                verts.append(p.point(j * _QUARTER / density))
+            lines.extend(map(" ".join, zip(*map(column, zip(p.center, p.u, p.v)))))
         elif p.length > 0:
-            verts.append(tuple(float(v) for v in p.start))
-    return "\n".join(" ".join(f"{v:.17g}" for v in vert) for vert in verts) + "\n"
+            lines.append(" ".join(f"{float(v):.17g}" for v in p.start))
+    return "\n".join(lines) + "\n"
 
 
 def import_polyline(text: str) -> list[tuple[float, float, float]]:

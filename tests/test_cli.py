@@ -204,6 +204,31 @@ class TestExport:
         # metrics line identical regardless of sampling density
         assert stdout.splitlines()[0] == stdout2.splitlines()[0]
 
+    @pytest.mark.parametrize("density", ["7", "4097"])
+    @pytest.mark.parametrize("form", ["polyline", "both"])
+    def test_bad_density_refused_before_any_work(self, tmp_path, capsys, monkeypatch, form, density):
+        def no_pipeline(*args, **kwargs):
+            raise AssertionError("run_pipeline called before the density check")
+
+        monkeypatch.setattr("knotfold.cli.run_pipeline", no_pipeline)
+        out = tmp_path / "o"
+        code, _, err = run(
+            capsys, "export", "--random", "g=96,seed=1,count=1", "--format", form,
+            "--density", density, "--out", str(out),
+        )
+        assert code == 2
+        assert "BadDensity" in err and "8..4096" in err
+        assert not out.exists()
+
+    def test_arcs_format_ignores_density(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code, _, _ = run(
+            capsys, "export", "--corpus", "trefoil", "--steps", "1",
+            "--format", "arcs", "--density", "7", "--out", str(out),
+        )
+        assert code == 0
+        assert {p.name for p in out.iterdir()} == {"3_1.step1.arcs.txt", "3_1.metrics.txt"}
+
     def test_unknown_format_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["export", "--corpus", "trefoil", "--format", "stl"])

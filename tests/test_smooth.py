@@ -140,6 +140,12 @@ class TestExport:
     def test_bad_density(self):
         with pytest.raises(BadDensity):
             export_geometry(smooth(UNIT_SQUARE), "polyline", density=7)
+        with pytest.raises(BadDensity):
+            export_geometry(smooth(UNIT_SQUARE), "polyline", density=4097)
+        # the range's ends are both allowed
+        for density in (8, 4096):
+            text = export_geometry(smooth(UNIT_SQUARE), "polyline", density=density)
+            assert len(text.splitlines()) == 4 * density
 
     def test_density_does_not_change_metrics(self):
         s = smooth(run_pipeline(TREFOIL).stages[2].knot)
