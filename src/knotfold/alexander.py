@@ -12,6 +12,10 @@ remainder theorem, with rigorous degree and coefficient bounds.  Each
 dense core is logged at DEBUG level: its rows, degree bound, coefficient
 bound in bits and number of primes.
 
+The matrix entries are plain ``{exponent: coefficient}`` dicts of ints,
+which the elimination updates in place; a `LaurentPoly` is made only for
+the determinant that comes back.
+
 Lattice knots are turned into diagrams by an integer shear projection so
 that sticks parallel to the viewing axis become short slanted segments
 instead of points.
@@ -62,9 +66,6 @@ def _seg_relation(p1, q1, p2, q2):
     s_q1 = cross2(d2, (q1[0] - p2[0], q1[1] - p2[1]))
     if s_p2 == 0 and s_q2 == 0:
         # collinear: any 1D overlap is irregular
-        def within(a, b, x):
-            return min(a, b) <= x <= max(a, b)
-
         axis = 0 if d1[0] != 0 else 1
         lo1, hi1 = sorted((p1[axis], q1[axis]))
         lo2, hi2 = sorted((p2[axis], q2[axis]))
@@ -360,8 +361,13 @@ def _core_det(dense: list[list[list[int]]]) -> list[int]:
     return [0] * sum(shifts) + det if det else []
 
 
-def _dense_core(rows: dict[int, dict[int, LaurentPoly]]) -> list[list[list[int]]] | None:
+def _dense_core(rows: dict[int, dict[int, dict[int, int]]]) -> list[list[list[int]]] | None:
     """Eliminate unit-monomial pivots; the square core that is left, or None.
+
+    Entries are ``{exponent: coefficient}`` dicts of ints, never empty and
+    with no zero coefficient; a unit monomial is an entry of one term whose
+    coefficient is +-1.  The rows and their entries are updated in place,
+    so callers pass rows they own, with no dict shared between two entries.
 
     Pivots are taken in Markowitz order: least (column count - 1) * (row
     length - 1) first, ties to the lower row, then the lower column.  They
@@ -382,17 +388,10 @@ def _dense_core(rows: dict[int, dict[int, LaurentPoly]]) -> list[list[list[int]]
     heap = [
         ((len(col_rows[c]) - 1) * (len(row) - 1), r, c)
         for r, row in rows.items()
-        for c, val in row.items()
-        if val.is_unit_monomial()
+        for c, e in row.items()
+        if len(e) == 1 and abs(*e.values()) == 1
     ]
     heapq.heapify(heap)
-
-    def push(r: int, cols) -> None:
-        row = rows[r]
-        n = len(row) - 1
-        for c in cols:
-            if row[c].is_unit_monomial():
-                heapq.heappush(heap, ((len(col_rows[c]) - 1) * n, r, c))
 
     while heap:
         cost, r0, c0 = heapq.heappop(heap)
@@ -401,37 +400,53 @@ def _dense_core(rows: dict[int, dict[int, LaurentPoly]]) -> list[list[list[int]]
             pivot_row is None
             or c0 not in pivot_row
             or (len(col_rows[c0]) - 1) * (len(pivot_row) - 1) != cost
-            or not pivot_row[c0].is_unit_monomial()
+            or len(pivot_row[c0]) != 1
+            or abs(*pivot_row[c0].values()) != 1
         ):
             continue  # stale
         del rows[r0]
-        pivot = pivot_row[c0]
-        k = pivot.min_exp
-        coef = pivot.coeff(k)  # +-1
+        ((k, coef),) = pivot_row[c0].items()  # coef is +-1
+        others = [(c, list(e.items())) for c, e in pivot_row.items() if c != c0]
         for c in pivot_row:
             col_rows[c].discard(r0)
         touched = col_rows.pop(c0)
         for r in touched:
             row = rows[r]
-            factor = row.pop(c0).shift(-k) * coef  # entry / pivot
-            for c, val in pivot_row.items():
-                if c == c0:
-                    continue
-                newv = row.get(c, LaurentPoly.zero()) - factor * val
-                if newv:
-                    row[c] = newv
+            # entry / pivot, negated: row[c] += factor * pivot_row[c]
+            factor = [(e - k, -v * coef) for e, v in row.pop(c0).items()]
+            for c, terms in others:
+                target = row.get(c)
+                if target is None:
+                    target = row[c] = {}
                     col_rows[c].add(r)
-                else:
-                    row.pop(c, None)
+                for fe, fv in factor:
+                    for pe, pv in terms:
+                        e = fe + pe
+                        v = target.get(e, 0) + fv * pv
+                        if v:
+                            target[e] = v
+                        else:
+                            del target[e]
+                if not target:
+                    del row[c]
                     col_rows[c].discard(r)
             if not row:
                 return None
+        # fresh heap entries: every unit of a touched row, and the units of
+        # the other rows in the columns whose counts changed
         for r in touched:
-            push(r, rows[r])
-        for c in pivot_row:
-            if c != c0:
-                for r in col_rows[c] - touched:
-                    push(r, (c,))
+            row = rows[r]
+            n = len(row) - 1
+            for c, e in row.items():
+                if len(e) == 1 and abs(*e.values()) == 1:
+                    heapq.heappush(heap, ((len(col_rows[c]) - 1) * n, r, c))
+        for c, _ in others:
+            m = len(col_rows[c]) - 1
+            for r in col_rows[c] - touched:
+                row = rows[r]
+                e = row[c]
+                if len(e) == 1 and abs(*e.values()) == 1:
+                    heapq.heappush(heap, (m * (len(row) - 1), r, c))
     if not rows:
         return []
     col_ids = sorted({c for row in rows.values() for c in row})
@@ -439,25 +454,27 @@ def _dense_core(rows: dict[int, dict[int, LaurentPoly]]) -> list[list[list[int]]
         return None
     dense = []
     for r in sorted(rows):
-        shift = min(p.min_exp for p in rows[r].values())
+        row = rows[r]
+        shift = min(min(e) for e in row.values())
         row_lists = []
         for c in col_ids:
-            p = rows[r].get(c)
-            if p is None:
+            e = row.get(c)
+            if e is None:
                 row_lists.append([])
             else:
-                row_lists.append([p.coeff(e) for e in range(shift, p.max_exp + 1)])
+                row_lists.append([e.get(x, 0) for x in range(shift, max(e) + 1)])
         dense.append(row_lists)
     return dense
 
 
-def _det_up_to_units(rows: dict[int, dict[int, LaurentPoly]]) -> LaurentPoly:
+def _det_up_to_units(rows: dict[int, dict[int, dict[int, int]]]) -> LaurentPoly:
     """Determinant of a sparse Laurent matrix, up to a unit +-t^k.
 
-    Unit-monomial pivots are eliminated first (`_dense_core`); the
-    determinant of the remaining dense core is computed modulo primes and
-    recombined (`_core_det`).  Determinant-scaling by units is not
-    tracked since callers normalize.
+    Entries are ``{exponent: coefficient}`` dicts, as in `_dense_core`,
+    which consumes the rows.  Unit-monomial pivots are eliminated first
+    (`_dense_core`); the determinant of the remaining dense core is
+    computed modulo primes and recombined (`_core_det`).  Determinant
+    scaling by units is not tracked since callers normalize.
     """
     dense = _dense_core(rows)
     if dense is None:
@@ -470,32 +487,36 @@ def _det_up_to_units(rows: dict[int, dict[int, LaurentPoly]]) -> LaurentPoly:
 # the polynomial
 
 
-def _wirtinger_rows(pd: PlanarDiagram) -> dict[int, dict[int, LaurentPoly]]:
-    """Abelianized Wirtinger relations, the last crossing's row and last arc's column dropped."""
+def _wirtinger_rows(pd: PlanarDiagram) -> dict[int, dict[int, dict[int, int]]]:
+    """Abelianized Wirtinger relations, the last crossing's row and last arc's column dropped.
+
+    Each row maps an arc to its entry, a fresh ``{exponent: coefficient}``
+    dict with no zero coefficient; arcs whose contributions cancel are left
+    out.
+    """
     arc_of_edge, n_arcs = pd.wirtinger_arcs()
-    t = LaurentPoly.t(1)
-    one = LaurentPoly.one()
-    rows: dict[int, dict[int, LaurentPoly]] = {}
+    rows: dict[int, dict[int, dict[int, int]]] = {}
     drop_arc = n_arcs - 1
     for idx, crossing in enumerate(pd.crossings[:-1]):
         o = arc_of_edge[crossing.over_in]
         a = arc_of_edge[crossing.under_in]
         b = arc_of_edge[crossing.under_out]
         if crossing.sign > 0:
-            contrib = ((o, one - t), (a, t), (b, -one))
+            # 1 - t, t, -1
+            contrib = ((o, 0, 1), (o, 1, -1), (a, 1, 1), (b, 0, -1))
         else:
-            # relation row scaled by t to stay in Z[t]
-            contrib = ((o, t - one), (a, one), (b, -t))
-        row: dict[int, LaurentPoly] = {}
-        for arc, val in contrib:
-            if arc == drop_arc:
-                continue
-            acc = row.get(arc, LaurentPoly.zero()) + val
-            if acc:
-                row[arc] = acc
-            else:
-                row.pop(arc, None)
-        rows[idx] = row
+            # t - 1, 1, -t: the relation row scaled by t to stay in Z[t]
+            contrib = ((o, 1, 1), (o, 0, -1), (a, 0, 1), (b, 1, -1))
+        row: dict[int, dict[int, int]] = {}
+        for arc, e, v in contrib:
+            if arc != drop_arc:
+                entry = row.setdefault(arc, {})
+                v += entry.get(e, 0)
+                if v:
+                    entry[e] = v
+                else:
+                    del entry[e]
+        rows[idx] = {arc: entry for arc, entry in row.items() if entry}
     return rows
 
 

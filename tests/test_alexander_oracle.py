@@ -23,6 +23,7 @@ from knotfold.alexander import (
     _core_det,
     _dense_core,
     _det_mod,
+    _det_up_to_units,
     _inverse_mod,
     _primes,
     _wirtinger_rows,
@@ -37,13 +38,19 @@ from knotfold.pipeline import run_pipeline
 
 
 def copy_rows(rows):
-    return {r: dict(row) for r, row in rows.items()}
+    """A copy the engine may update in place: fresh row and entry dicts."""
+    return {r: {c: dict(e) for c, e in row.items()} for r, row in rows.items()}
+
+
+def as_laurent(rows):
+    """The engine's {exponent: coefficient} entries as LaurentPoly, for the oracle."""
+    return {r: {c: LaurentPoly(e) for c, e in row.items()} for r, row in rows.items()}
 
 
 def assert_engines_agree(pd, label):
     rows = _wirtinger_rows(pd)
-    assert _dense_core(copy_rows(rows)) == dense_core_oracle(copy_rows(rows)), label
-    assert alexander(pd) == det_up_to_units_oracle(copy_rows(rows)).normalize(), label
+    assert _dense_core(copy_rows(rows)) == dense_core_oracle(as_laurent(rows)), label
+    assert alexander(pd) == det_up_to_units_oracle(as_laurent(rows)).normalize(), label
 
 
 def assert_pipeline_agrees(diagram, res, label):
@@ -91,10 +98,43 @@ def test_random_odd(g):
     ],
 )
 def test_singular_sparse_matrices(rows):
-    t = LaurentPoly.t(1)
-    rows = {r: {c: LaurentPoly.const(v) * t for c, v in row.items()} for r, row in rows.items()}
-    assert dense_core_oracle(copy_rows(rows)) is None
+    rows = {r: {c: {1: v} for c, v in row.items()} for r, row in rows.items()}  # v * t
+    assert dense_core_oracle(as_laurent(rows)) is None
     assert _dense_core(copy_rows(rows)) is None
+
+
+unit_entries = st.builds(lambda e, v: {e: v}, st.integers(-3, 3), st.sampled_from((1, -1)))
+laurent_entries = st.dictionaries(
+    st.integers(-3, 3), st.integers(-2, 2).filter(bool), min_size=1, max_size=3
+)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """1-12 rows of 1-3 entries each; square about half the time, and half the entries units."""
+    n = draw(st.integers(1, 12))
+    n_cols = draw(st.one_of(st.just(n), st.integers(1, n + 2)))
+    rows = {}
+    for r in range(n):
+        cols = draw(st.lists(st.integers(0, n_cols - 1), min_size=1, max_size=3, unique=True))
+        rows[r] = {c: draw(st.one_of(unit_entries, laurent_entries)) for c in cols}
+    return rows
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(sparse_matrices())
+# pivot (0, 0) cancels row 1's entry in column 1, which a later pivot uses
+@example({0: {0: {0: 1}, 1: {0: 1}}, 1: {0: {0: 1}, 1: {0: 1}, 2: {0: 1}}, 2: {1: {0: 1}, 2: {0: 2}}})
+# pivot (0, 0) empties row 1
+@example({0: {0: {0: 1}, 1: {1: 1}}, 1: {0: {0: 1}, 1: {1: 1}}})
+# pivot (0, 0) leaves one row over three columns
+@example({0: {0: {0: 1}, 1: {0: 2}}, 1: {0: {0: 1}, 2: {1: 2}, 3: {0: 2}}})
+def test_dense_core_matches_oracle_on_sparse_matrices(rows):
+    core = _dense_core(copy_rows(rows))
+    assert core == dense_core_oracle(as_laurent(rows))
+    det = _det_up_to_units(copy_rows(rows))
+    oracle = det_up_to_units_oracle(as_laurent(rows))
+    assert det in (oracle, -oracle)  # Bareiss swaps rows without tracking the sign
 
 
 def random_lattice_polygon(rng, sticks):
