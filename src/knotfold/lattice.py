@@ -11,8 +11,10 @@ lowers its crease sticks; the vertical fold turns the horizontal fold's
 curve, taken before that lowering, about a y-line in the z=2 plane.  Each
 fold keeps the knot type while shrinking the edge count.
 
-All fold surgery happens at unit-edge resolution on the cyclic point list
-of the curve; no floating point appears anywhere in this module.
+A fold walks its input's sticks in maximal same-axis runs and emits the
+folded curve as its cyclic list of unit points, so fold surgery and the
+collision test happen at unit-edge resolution; no floating point appears
+anywhere in this module.
 """
 
 from __future__ import annotations
@@ -80,16 +82,16 @@ class FoldReport:
 def sticks_of(k: LatticeKnot) -> list[tuple[int, tuple, tuple, int]]:
     """Sticks as (axis, start, end, length) around the cycle."""
     out = []
-    m = len(k.corners)
-    for i in range(m):
-        p = k.corners[i]
-        q = k.corners[(i + 1) % m]
-        diff = [q[j] - p[j] for j in range(3)]
-        nz = [j for j in range(3) if diff[j]]
-        if len(nz) != 1:
+    for p, q in zip(k.corners, k.corners[1:] + k.corners[:1]):
+        dx, dy, dz = q[0] - p[0], q[1] - p[1], q[2] - p[2]
+        if dx and not (dy or dz):
+            out.append((0, p, q, abs(dx)))
+        elif dy and not (dx or dz):
+            out.append((1, p, q, abs(dy)))
+        elif dz and not (dx or dy):
+            out.append((2, p, q, abs(dz)))
+        else:
             raise ValueError(f"corners {p} -> {q} do not span an axis stick")
-        axis = nz[0]
-        out.append((axis, p, q, abs(diff[axis])))
     return out
 
 
@@ -114,20 +116,22 @@ def edge_census(k: LatticeKnot) -> EdgeCensus:
 def unit_points(k: LatticeKnot) -> list[tuple[int, int, int]]:
     """The cyclic lattice-point trace of the curve, one entry per edge."""
     pts: list[tuple[int, int, int]] = []
-    for axis, p, q, length in sticks_of(k):
-        step = 1 if q[axis] > p[axis] else -1
-        cur = list(p)
-        for _ in range(length):
-            pts.append(tuple(cur))
-            cur[axis] += step
+    for axis, p, q, _length in sticks_of(k):
+        pts += _direct_path(p, q, axis)
+        pts.pop()
     return pts
 
 
-def _knot_from_points(pts: list[tuple[int, int, int]]) -> LatticeKnot:
-    """The canonical knot through a cyclic list of unit-spaced points."""
-    # steps[i] leaves pts[i]; a corner is a point where the step changes
-    steps = [(q[0] - p[0], q[1] - p[1], q[2] - p[2]) for p, q in zip(pts, pts[1:] + pts[:1])]
-    corners = tuple(p for i, p in enumerate(pts) if steps[i - 1] != steps[i])
+def _cycle_steps(pts: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+    """steps[i] leaves pts[i] for the next point of the cycle."""
+    return [(u - x, v - y, w - z) for (x, y, z), (u, v, w) in zip(pts, pts[1:] + pts[:1])]
+
+
+def _knot_from_points(pts: list[tuple[int, int, int]], steps=None) -> LatticeKnot:
+    """The canonical knot through a cyclic list of unit-spaced points and its steps."""
+    # a corner is a point where the step changes
+    steps = steps or _cycle_steps(pts)
+    corners = tuple([p for p, s0, s1 in zip(pts, steps[-1:] + steps, steps) if s0 != s1])
     return canonicalize(LatticeKnot(corners))
 
 
@@ -139,25 +143,14 @@ def canonicalize(k: LatticeKnot) -> LatticeKnot:
     and oriented so the successor of that corner is smallest.  The set of
     points traced by the curve is unchanged.
     """
-    corners = [c for i, c in enumerate(k.corners) if c != k.corners[(i + 1) % len(k.corners)]]
-    changed = True
-    while changed:
-        changed = False
-        m = len(corners)
-        if m < 3:
+    corners = [c for c, nxt in zip(k.corners, k.corners[1:] + k.corners[:1]) if c != nxt]
+    while len(corners) >= 3:
+        # dirs[i] leads from corner i to corner i + 1
+        dirs = [_unit_dir(p, q) for p, q in zip(corners, corners[1:] + corners[:1])]
+        kept = [c for c, d1, d2 in zip(corners, dirs[-1:] + dirs, dirs) if d1 is None or d1 != d2]
+        if len(kept) == len(corners):
             break
-        out = []
-        for i in range(m):
-            prev = corners[(i - 1) % m]
-            cur = corners[i]
-            nxt = corners[(i + 1) % m]
-            d1 = _unit_dir(prev, cur)
-            d2 = _unit_dir(cur, nxt)
-            if d1 is not None and d1 == d2:
-                changed = True
-                continue
-            out.append(cur)
-        corners = out
+        corners = kept
     if len(corners) < 4:
         raise DegenerateCurve(f"only {len(corners)} corners remain")
 
@@ -171,14 +164,14 @@ def canonicalize(k: LatticeKnot) -> LatticeKnot:
 
 
 def _unit_dir(p, q):
-    diff = [q[j] - p[j] for j in range(3)]
-    nz = [j for j in range(3) if diff[j]]
-    if len(nz) != 1:
-        return None
-    axis = nz[0]
-    d = [0, 0, 0]
-    d[axis] = 1 if diff[axis] > 0 else -1
-    return tuple(d)
+    dx, dy, dz = q[0] - p[0], q[1] - p[1], q[2] - p[2]
+    if dx and not (dy or dz):
+        return (1 if dx > 0 else -1, 0, 0)
+    if dy and not (dx or dz):
+        return (0, 1 if dy > 0 else -1, 0)
+    if dz and not (dx or dy):
+        return (0, 0, 1 if dz > 0 else -1)
+    return None
 
 
 def validate_lattice(k: LatticeKnot) -> ValidationReport:
@@ -202,12 +195,11 @@ def validate_lattice(k: LatticeKnot) -> ValidationReport:
             structural_ok = False
     if structural_ok:
         pts = unit_points(k)
-        seen: dict[tuple, int] = {}
-        for i, p in enumerate(pts):
-            if p in seen:
-                report.add("SelfIntersection", f"lattice point {p} visited twice")
-                break
-            seen[p] = i
+        if len(set(pts)) != len(pts):
+            # name the point whose second visit comes first in trace order
+            seen: set[tuple] = set()
+            p = next(p for p in pts if p in seen or seen.add(p))
+            report.add("SelfIntersection", f"lattice point {p} visited twice")
     return report
 
 
@@ -245,44 +237,16 @@ def settle(d: GridDiagram) -> LatticeKnot:
 # fold machinery
 
 
-def _step_axis(pts, i):
-    p, q = pts[i], pts[(i + 1) % len(pts)]
-    for j in range(3):
-        if p[j] != q[j]:
-            return j
-    raise ValueError("repeated point in cycle")
-
-
-def _sections(pts):
-    """Maximal same-axis runs of the cyclic point list.
-
-    Each section carries the points of its run including both endpoint
-    corners, so consecutive sections overlap in one point; emitting every
-    section minus its last point reproduces the cycle.
-    """
-    n = len(pts)
-    start = 0
-    for i in range(n):
-        if _step_axis(pts, (i - 1) % n) != _step_axis(pts, i):
-            start = i
-            break
-    pts = pts[start:] + pts[:start]
-    sections = []
-    i = 0
-    while i < n:
-        axis = _step_axis(pts, i)
-        j = i
-        while j + 1 < n and _step_axis(pts, j + 1) == axis:
-            j += 1
-        sections.append((axis, pts[i : j + 2] if j + 1 < n else pts[i:] + [pts[0]]))
-        i = j + 1
-    return sections
-
-
 def _direct_path(p, q, axis):
     """Inclusive monotone unit path from p to q, which differ only along axis."""
-    step = 1 if q[axis] >= p[axis] else -1
-    return [(*p[:axis], v, *p[axis + 1 :]) for v in range(p[axis], q[axis] + step, step)]
+    x, y, z = p
+    a, b = p[axis], q[axis]
+    span = range(a, b + 1) if b >= a else range(a, b - 1, -1)
+    if axis == 0:
+        return [(v, y, z) for v in span]
+    if axis == 1:
+        return [(x, v, z) for v in span]
+    return [(x, y, v) for v in span]
 
 
 def _fold_line(g: int, side: str) -> int:
@@ -294,7 +258,7 @@ def _fold_line(g: int, side: str) -> int:
     return g // 2 + 1 if side == "high" else g // 2
 
 
-def _lower_stick(pts, col):
+def _lower_stick(pts, col, rotated=False):
     """Drop the z=2 y-stick at x-level col onto z=1, removing its 2 z-edges.
 
     The curve pattern around that stick is (col, r1, 1), (col, r1, 2),
@@ -305,12 +269,14 @@ def _lower_stick(pts, col):
     block = [i for i, p in enumerate(pts) if p[0] == col and p[2] == 2]
     if not block:
         raise FoldCollision(f"no z=2 stick found at x-level {col} to lower")
-    if len(block) != max(block) - min(block) + 1:
-        # block wraps the list start; rotate and retry
-        first_out = next(i for i in range(n) if i not in set(block))
-        pts = pts[first_out:] + pts[:first_out]
-        return _lower_stick(pts, col)
-    lo, hi = min(block), max(block)
+    lo, hi = block[0], block[-1]
+    if len(block) != hi - lo + 1:
+        if rotated:
+            raise FoldCollision(f"the z=2 points at x-level {col} form more than one run")
+        # the block wraps the list start; rotate it to the front and retry once
+        members = set(block)
+        first_out = next(i for i in range(n) if i not in members)
+        return _lower_stick(pts[first_out:] + pts[:first_out], col, rotated=True)
     pred = pts[(lo - 1) % n]
     succ = pts[(hi + 1) % n]
     first, last = pts[lo], pts[hi]
@@ -322,18 +288,20 @@ def _lower_stick(pts, col):
     return pts[:lo] + interior + pts[hi + 1 :]
 
 
-def _fold(pts, axis, line, level, side):
-    """Turn the points beyond a fold line half a turn about it.
+def _fold(k, axis, line, level, side):
+    """Turn the points of k beyond a fold line half a turn about it.
 
     The line runs in the z=level plane at coordinate ``line`` of the fold
     axis (0 for x, 1 for y); the points beyond it on ``side`` map by
-    p[axis] -> 2*line - p[axis], z -> 2*level - z.  A fold-axis stick in
-    that plane becomes the direct path between the images of its ends,
-    dropping the edges the fold doubles.  A fold-axis stick on z-level
-    level - 2 that the line severs is rebuilt with a bridge of two
-    fold-axis edges and four z-edges one unit beyond the line, around the
-    outside of the fold.  Returns the folded point cycle, the number of
-    doubled edges removed and the number of bridges built.
+    p[axis] -> 2*line - p[axis], z -> 2*level - z.  The fold walks k's
+    sticks in maximal same-axis runs, starting at the first corner where
+    the axis changes.  A fold-axis run in that plane becomes the direct
+    path between the images of its ends, dropping the edges the fold
+    doubles.  A fold-axis run on z-level level - 2 that the line severs is
+    rebuilt with a bridge of two fold-axis edges and four z-edges one unit
+    beyond the line, around the outside of the fold.  Returns the folded
+    curve as its cyclic unit-point list, the number of doubled edges
+    removed and the number of bridges built.
     """
     offset = [0, 0, 2 * level]
     offset[axis] = 2 * line
@@ -352,31 +320,53 @@ def _fold(pts, axis, line, level, side):
     def image(p):
         return rotate(p) if beyond(p) else p
 
+    sticks = sticks_of(k)
+    start = next((i for i in range(len(sticks)) if sticks[i - 1][0] != sticks[i][0]), 0)
+    runs: list[list] = []
+    for stick in sticks[start:] + sticks[:start]:
+        if runs and runs[-1][0][0] == stick[0]:
+            runs[-1].append(stick)
+        else:
+            runs.append([stick])
     out: list[tuple[int, int, int]] = []
     bridges: set[tuple[int, int, int]] = set()
     removed = broken = 0
-    for sec_axis, sec in _sections(pts):
-        z = sec[0][2]
+    for run in runs:
+        sec_axis, first = run[0][:2]
+        last = run[-1][2]
+        z = first[2]
         if sec_axis == axis and z == level:
-            path = _direct_path(image(sec[0]), image(sec[-1]), axis)
-            removed += len(sec) - len(path)
-            out.extend(path[:-1])
+            path = _direct_path(image(first), image(last), axis)
+            removed += sum(s[3] for s in run) + 1 - len(path)
+            out += path
+            out.pop()
         elif sec_axis == axis and z != level - 2:
             raise ValueError(
                 f"fold about the {'xy'[axis]}-line {line} in the z={level} plane met a "
                 f"fold-axis stick on z-level {z}, neither in that plane nor two below it"
             )
-        elif beyond(sec[0]) == beyond(sec[-1]):
-            # the line does not sever this stick, so all of it lies on one side
-            out.extend(map(rotate, sec[:-1]) if beyond(sec[0]) else sec[:-1])
+        elif beyond(first) == beyond(last):
+            # the line does not sever this run, so all of it lies on one side
+            moves = beyond(first)
+            for _axis, p, q, _length in run:
+                if moves:
+                    p, q = rotate(p), rotate(q)
+                out += _direct_path(p, q, sec_axis)
+                out.pop()
         else:
             broken += 1
-            corner = list(sec[0])
+            sec = [first]
+            for _axis, p, q, _length in run:
+                sec += _direct_path(p, q, sec_axis)[1:]
+            corner = list(first)
             corner[axis] = line + 1 if high else line - 1
             bridge = [(*corner[:2], h) for h in range(level - 2, level + 3)]
-            kept = [p for p in sec if not beyond(p)]
-            moved = [rotate(p) for p in sec if beyond(p) or p[axis] == line]
-            if beyond(sec[0]):
+            # the point on the line is both kept and moved, to start the bridge
+            low = [p for p in sec if p[axis] <= line]
+            up = [p for p in sec if p[axis] >= line]
+            kept, moved = (low, up) if high else (up, low)
+            moved = [rotate(p) for p in moved]
+            if beyond(first):
                 out.extend((moved + bridge[::-1] + kept)[:-1])
             else:
                 out.extend((kept + bridge + moved)[:-1])
@@ -394,10 +384,19 @@ def _fold(pts, axis, line, level, side):
     return out, removed, broken
 
 
+_UNIT_STEPS = frozenset({(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)})
+
+
 def _fold_finish(k, pts, axis, line, side, removed, removed_z, broken):
-    """Canonical knot and reconciled report of a fold whose output cycle is pts."""
-    knot = _knot_from_points(pts)
-    _require_valid(knot, f"fold about the {'xy'[axis]}-line {line} broke an invariant")
+    """Canonical knot and reconciled report of a fold whose output cycle is pts.
+
+    A cycle of unit steps through distinct points traces a valid knot; only
+    a cycle failing that goes through validate_lattice, to name the fault.
+    """
+    steps = _cycle_steps(pts)
+    knot = _knot_from_points(pts, steps)
+    if not (_UNIT_STEPS.issuperset(steps) and len(set(pts)) == len(pts)):
+        _require_valid(knot, f"fold about the {'xy'[axis]}-line {line} broke an invariant")
     report = FoldReport(
         fold_axis="xy"[axis],
         side=side,
@@ -433,10 +432,10 @@ def fold_horizontal(
     sticks were lowered, which is the input that fold_vertical expects.
     """
     xf = _fold_line(g, side)
-    pts = unit_points(k)
-    if not {p[2] for p in pts} <= {1, 2}:
+    # the corners' levels bound the points' levels, and {1, 2} has no gap
+    if not {c[2] for c in k.corners} <= {1, 2}:
         raise ValueError("fold_horizontal expects a settled knot on z-levels 1 and 2")
-    unlowered, removed, _ = _fold(pts, 0, xf, 1, side)
+    unlowered, removed, _ = _fold(k, 0, xf, 1, side)
     lower_cols = [xf] if g % 2 == 1 else [xf, 1 if side == "high" else g]
     out = unlowered
     for col in lower_cols:
@@ -455,10 +454,9 @@ def fold_vertical(k: LatticeKnot, g: int, side: str) -> tuple[LatticeKnot, FoldR
     z-level 0 that the line severs are bridged.
     """
     yf = _fold_line(g, side)
-    pts = unit_points(k)
-    if not {p[2] for p in pts} <= {0, 1, 2}:
+    if not {c[2] for c in k.corners} <= {0, 1, 2}:
         raise ValueError("fold_vertical expects a horizontally folded knot on z-levels 0..2")
-    out, removed, broken = _fold(pts, 1, yf, 2, side)
+    out, removed, broken = _fold(k, 1, yf, 2, side)
     return _fold_finish(k, out, 1, yf, side, removed, 0, broken)
 
 

@@ -3,10 +3,14 @@
 A reference for knotfold.alexander.  The unit-pivot elimination rescans
 every row before each pivot, the dense core's determinant comes from
 fraction-free Bareiss elimination with exact polynomial division, and
-the projection tests every pair of non-adjacent segments.  It shares the
-segment predicates (`_seg_relation`, `_crossing_params`) and the Laurent
-arithmetic with the engine, none of the pivot queue, pair prefilter or
-modular arithmetic.
+the projection tests every pair of non-adjacent segments.  It shares with
+the engine only the segment predicates (`_seg_relation`, `_crossing_params`)
+and `LaurentPoly`, the type of the determinant the engine returns and
+normalizes.  It shares none of the elimination arithmetic: the engine
+eliminates on plain coefficient dicts and takes the core determinant
+modulo primes, where this oracle eliminates in `LaurentPoly` and runs
+Bareiss on its own integer coefficient lists.  Nor does it share the
+pivot queue or the pair prefilter.
 """
 
 from fractions import Fraction

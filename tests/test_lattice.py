@@ -1,9 +1,14 @@
 import pytest
 
-from knotfold.errors import DegenerateCurve, MalformedInput
+from knotfold.errors import DegenerateCurve, FoldCollision, MalformedInput
 from knotfold.grid import parse_grid, random_grid
 from knotfold.lattice import (
     LatticeKnot,
+    _fold_finish,
+    _fold_line,
+    _knot_from_points,
+    _lower_stick,
+    _require_valid,
     canonicalize,
     edge_census,
     fold_horizontal,
@@ -229,6 +234,20 @@ class TestValidate:
     def test_too_few(self):
         assert "TooFewCorners" in validate_lattice(LatticeKnot(((0, 0, 0),))).codes()
 
+    def test_names_the_first_point_visited_again(self):
+        # trace: (0,0) (1,0) (2,0) (3,0) (3,1) (2,1) (2,0)* (2,-1) (1,-1) (1,0)* (1,1) (0,1)
+        # (1, 0) is visited first, but (2, 0) is the first point visited again
+        k = LatticeKnot(
+            (
+                (0, 0, 0), (3, 0, 0), (3, 1, 0), (2, 1, 0), (2, -1, 0), (1, -1, 0),
+                (1, 1, 0), (0, 1, 0),
+            )
+        )
+        report = validate_lattice(k)
+        assert report.codes() == {"SelfIntersection"}
+        assert "lattice point (2, 0, 0) visited twice" in str(report)
+        assert "(1, 0, 0)" not in str(report)
+
     def test_settle_outputs_clean(self, corpus):
         for entry in corpus:
             assert validate_lattice(settle(entry.diagram)).ok
@@ -293,3 +312,61 @@ def test_pipeline_validity_up_to_g12():
             res = run_pipeline(random_grid(g, seed))
             for step in (1, 2, 3):
                 assert validate_lattice(res.stages[step].knot).ok, (g, seed, step)
+
+
+class TestLowerStick:
+    SPLIT = canonicalize(
+        LatticeKnot(
+            (
+                (3, 1, 2), (3, 2, 2), (3, 2, 1), (1, 2, 1), (1, 2, 2), (1, 4, 2),
+                (1, 4, 1), (3, 4, 1), (3, 4, 2), (3, 5, 2), (3, 5, 1), (5, 5, 1),
+                (5, 5, 2), (5, 1, 2), (5, 1, 1), (3, 1, 1),
+            )
+        )
+    )
+
+    def test_split_block_raises_fold_collision(self):
+        # the z=2 points over the crease column x=3 form two separate runs
+        assert validate_lattice(self.SPLIT).ok
+        with pytest.raises(FoldCollision, match="more than one run"):
+            fold_horizontal(self.SPLIT, 5, "high")
+        for g, side in ((4, "high"), (5, "low"), (6, "low")):
+            with pytest.raises(FoldCollision):
+                fold_horizontal(self.SPLIT, g, side)
+
+    def test_block_wrapping_the_list_start(self):
+        g, side = 9, "high"
+        col = _fold_line(g, side)
+        _, _, unlowered = fold_horizontal(settle(random_grid(g, 1)), g, side)
+        pts = unit_points(unlowered)
+        block = [i for i, p in enumerate(pts) if p[0] == col and p[2] == 2]
+        assert len(block) >= 2 and block == list(range(block[0], block[-1] + 1))
+        # start the cycle inside the block, so it wraps the end of the list
+        cut = block[0] + 1
+        wrapped = pts[cut:] + pts[:cut]
+        want = _knot_from_points(_lower_stick(pts, col))
+        assert _knot_from_points(_lower_stick(wrapped, col)) == want
+
+
+class TestFoldFinishErrors:
+    def test_repeated_point_matches_require_valid(self):
+        pts = [
+            (0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 2, 0), (2, 2, 0), (2, 1, 0),
+            (1, 1, 0), (0, 1, 0),
+        ]
+        k = _knot_from_points(pts)
+        with pytest.raises(FoldCollision) as want:
+            _require_valid(k, "fold about the x-line 1 broke an invariant")
+        with pytest.raises(FoldCollision) as got:
+            _fold_finish(k, pts, 0, 1, "high", 0, 0, 0)
+        assert str(got.value) == str(want.value)
+        assert "lattice point (1, 1, 0) visited twice" in str(got.value)
+
+    def test_two_unit_jump_still_valid(self):
+        # the step (2, 2, 0) -> (0, 2, 0) is two units long, yet the corners
+        # trace a valid square, so the cycle passes as it always has
+        pts = [(0, 0, 0), (1, 0, 0), (2, 0, 0), (2, 1, 0), (2, 2, 0), (0, 2, 0), (0, 1, 0)]
+        square = LatticeKnot(((0, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 0)))
+        knot, report = _fold_finish(square, pts, 0, 1, "high", 0, 0, 0)
+        assert knot == canonicalize(square)
+        assert report.pre == report.post == edge_census(square)
