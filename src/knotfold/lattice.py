@@ -12,9 +12,10 @@ curve, taken before that lowering, about a y-line in the z=2 plane.  Each
 fold keeps the knot type while shrinking the edge count.
 
 A fold walks its input's sticks in maximal same-axis runs and emits the
-folded curve as its cyclic list of unit points, so fold surgery and the
-collision test happen at unit-edge resolution; no floating point appears
-anywhere in this module.
+folded curve as a cyclic corner list, one to three corners per run; the
+lowering of a crease stick drops two corners.  In the folds, unit points
+appear only in the collision tests, each of which expands a corner cycle
+once.  No floating point appears anywhere in this module.
 """
 
 from __future__ import annotations
@@ -116,23 +117,17 @@ def edge_census(k: LatticeKnot) -> EdgeCensus:
 def unit_points(k: LatticeKnot) -> list[tuple[int, int, int]]:
     """The cyclic lattice-point trace of the curve, one entry per edge."""
     pts: list[tuple[int, int, int]] = []
-    for axis, p, q, _length in sticks_of(k):
-        pts += _direct_path(p, q, axis)
-        pts.pop()
+    for p, q in zip(k.corners, k.corners[1:] + k.corners[:1]):
+        (x, y, z), (u, v, w) = p, q
+        if x != u and y == v and z == w:
+            pts += [(t, y, z) for t in range(x, u, 1 if u > x else -1)]
+        elif y != v and x == u and z == w:
+            pts += [(x, t, z) for t in range(y, v, 1 if v > y else -1)]
+        elif z != w and x == u and y == v:
+            pts += [(x, y, t) for t in range(z, w, 1 if w > z else -1)]
+        else:
+            raise ValueError(f"corners {p} -> {q} do not span an axis stick")
     return pts
-
-
-def _cycle_steps(pts: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
-    """steps[i] leaves pts[i] for the next point of the cycle."""
-    return [(u - x, v - y, w - z) for (x, y, z), (u, v, w) in zip(pts, pts[1:] + pts[:1])]
-
-
-def _knot_from_points(pts: list[tuple[int, int, int]], steps=None) -> LatticeKnot:
-    """The canonical knot through a cyclic list of unit-spaced points and its steps."""
-    # a corner is a point where the step changes
-    steps = steps or _cycle_steps(pts)
-    corners = tuple([p for p, s0, s1 in zip(pts, steps[-1:] + steps, steps) if s0 != s1])
-    return canonicalize(LatticeKnot(corners))
 
 
 def canonicalize(k: LatticeKnot) -> LatticeKnot:
@@ -237,18 +232,6 @@ def settle(d: GridDiagram) -> LatticeKnot:
 # fold machinery
 
 
-def _direct_path(p, q, axis):
-    """Inclusive monotone unit path from p to q, which differ only along axis."""
-    x, y, z = p
-    a, b = p[axis], q[axis]
-    span = range(a, b + 1) if b >= a else range(a, b - 1, -1)
-    if axis == 0:
-        return [(v, y, z) for v in span]
-    if axis == 1:
-        return [(x, v, z) for v in span]
-    return [(x, y, v) for v in span]
-
-
 def _fold_line(g: int, side: str) -> int:
     """The fold line of either fold; it depends only on g's parity and the side."""
     if side not in ("high", "low"):
@@ -258,34 +241,31 @@ def _fold_line(g: int, side: str) -> int:
     return g // 2 + 1 if side == "high" else g // 2
 
 
-def _lower_stick(pts, col, rotated=False):
+def _lower_stick(corners, col):
     """Drop the z=2 y-stick at x-level col onto z=1, removing its 2 z-edges.
 
-    The curve pattern around that stick is (col, r1, 1), (col, r1, 2),
-    ..., (col, r2, 2), (col, r2, 1); the z=2 block is replaced by the
-    straight z=1 path between the flanking corners.
+    The corners around that stick run (col, r1, 1), (col, r1, 2),
+    (col, r2, 2), (col, r2, 1); dropping the two z=2 corners joins the
+    z=1 corners either side by a y-stick.  The horizontal fold leaves every
+    z=2 point on a y-stick whose two corners turn down unit z-edges, so a
+    column whose z=2 corners are not those two cannot be lowered.
     """
-    n = len(pts)
-    block = [i for i, p in enumerate(pts) if p[0] == col and p[2] == 2]
+    n = len(corners)
+    block = [i for i, c in enumerate(corners) if c[0] == col and c[2] == 2]
     if not block:
         raise FoldCollision(f"no z=2 stick found at x-level {col} to lower")
-    lo, hi = block[0], block[-1]
-    if len(block) != hi - lo + 1:
-        if rotated:
-            raise FoldCollision(f"the z=2 points at x-level {col} form more than one run")
-        # the block wraps the list start; rotate it to the front and retry once
-        members = set(block)
-        first_out = next(i for i in range(n) if i not in members)
-        return _lower_stick(pts[first_out:] + pts[:first_out], col, rotated=True)
-    pred = pts[(lo - 1) % n]
-    succ = pts[(hi + 1) % n]
-    first, last = pts[lo], pts[hi]
-    if pred != (col, first[1], 1) or succ != (col, last[1], 1):
+    if len(block) != 2 or block[1] - block[0] not in (1, n - 1):
+        raise FoldCollision(f"the z=2 points at x-level {col} form more than one run")
+    # the stick runs from corner i to corner i + 1, which may wrap the list end
+    i = block[0] if block[1] - block[0] == 1 else block[1]
+    first, last = corners[i], corners[(i + 1) % n]
+    if corners[i - 1] != (col, first[1], 1) or corners[(i + 2) % n] != (col, last[1], 1):
         raise FoldCollision(
             f"x-level {col} stick is not flanked by unit z-edges; cannot lower"
         )
-    interior = [(col, p[1], 1) for p in pts[lo:hi + 1] if p[1] not in (pred[1], succ[1])]
-    return pts[:lo] + interior + pts[hi + 1 :]
+    if i == n - 1:
+        return corners[1:-1]
+    return corners[:i] + corners[i + 2 :]
 
 
 def _fold(k, axis, line, level, side):
@@ -293,15 +273,19 @@ def _fold(k, axis, line, level, side):
 
     The line runs in the z=level plane at coordinate ``line`` of the fold
     axis (0 for x, 1 for y); the points beyond it on ``side`` map by
-    p[axis] -> 2*line - p[axis], z -> 2*level - z.  The fold walks k's
-    sticks in maximal same-axis runs, starting at the first corner where
-    the axis changes.  A fold-axis run in that plane becomes the direct
-    path between the images of its ends, dropping the edges the fold
-    doubles.  A fold-axis run on z-level level - 2 that the line severs is
-    rebuilt with a bridge of two fold-axis edges and four z-edges one unit
-    beyond the line, around the outside of the fold.  Returns the folded
-    curve as its cyclic unit-point list, the number of doubled edges
-    removed and the number of bridges built.
+    p[axis] -> 2*line - p[axis], z -> 2*level - z.  A stick that runs back
+    along the stick before it always overlaps it and is refused, so each
+    maximal same-axis run of k's sticks is straight.  The fold walks those
+    runs, starting at the first corner where the axis changes, and each run
+    emits the image of its first corner.  A fold-axis run in that plane
+    goes straight to the image of its last corner, dropping the edges the
+    fold doubles; it emits nothing when those images coincide.  A fold-axis
+    run on z-level level - 2 that the line severs also emits the two
+    corners of a bridge of two fold-axis edges and four z-edges one unit
+    beyond the line, around the outside of the fold.  The folded corner
+    cycle is expanded once into unit points to test it for collisions.
+    Returns the folded corner cycle, the number of doubled edges removed
+    and the number of bridges built.
     """
     offset = [0, 0, 2 * level]
     offset[axis] = 2 * line
@@ -321,59 +305,48 @@ def _fold(k, axis, line, level, side):
         return rotate(p) if beyond(p) else p
 
     sticks = sticks_of(k)
-    start = next((i for i in range(len(sticks)) if sticks[i - 1][0] != sticks[i][0]), 0)
-    runs: list[list] = []
-    for stick in sticks[start:] + sticks[:start]:
-        if runs and runs[-1][0][0] == stick[0]:
-            runs[-1].append(stick)
-        else:
-            runs.append([stick])
+    # (axis, first corner) of each run
+    runs = []
+    for (a0, p0, q0, _), (a1, p1, q1, _) in zip(sticks[-1:] + sticks, sticks):
+        if a0 != a1:
+            runs.append((a1, p1))
+        elif (q0[a0] > p0[a0]) != (q1[a1] > p1[a1]):
+            raise ValueError(
+                f"the stick {p1} -> {q1} runs back along the stick before it, "
+                "so the curve overlaps itself"
+            )
     out: list[tuple[int, int, int]] = []
     bridges: set[tuple[int, int, int]] = set()
     removed = broken = 0
-    for run in runs:
-        sec_axis, first = run[0][:2]
-        last = run[-1][2]
-        z = first[2]
-        if sec_axis == axis and z == level:
-            path = _direct_path(image(first), image(last), axis)
-            removed += sum(s[3] for s in run) + 1 - len(path)
-            out += path
-            out.pop()
-        elif sec_axis == axis and z != level - 2:
+    for (run_axis, first), (_, last) in zip(runs, runs[1:] + runs[:1]):
+        start = image(first)
+        if run_axis != axis:
+            out.append(start)
+        elif first[2] == level:
+            end = image(last)
+            removed += abs(last[axis] - first[axis]) - abs(end[axis] - start[axis])
+            if start != end:
+                out.append(start)
+        elif first[2] != level - 2:
             raise ValueError(
                 f"fold about the {'xy'[axis]}-line {line} in the z={level} plane met a "
-                f"fold-axis stick on z-level {z}, neither in that plane nor two below it"
+                f"fold-axis stick on z-level {first[2]}, neither in that plane nor two below it"
             )
         elif beyond(first) == beyond(last):
             # the line does not sever this run, so all of it lies on one side
-            moves = beyond(first)
-            for _axis, p, q, _length in run:
-                if moves:
-                    p, q = rotate(p), rotate(q)
-                out += _direct_path(p, q, sec_axis)
-                out.pop()
+            out.append(start)
         else:
             broken += 1
-            sec = [first]
-            for _axis, p, q, _length in run:
-                sec += _direct_path(p, q, sec_axis)[1:]
-            corner = list(first)
-            corner[axis] = line + 1 if high else line - 1
-            bridge = [(*corner[:2], h) for h in range(level - 2, level + 3)]
-            # the point on the line is both kept and moved, to start the bridge
-            low = [p for p in sec if p[axis] <= line]
-            up = [p for p in sec if p[axis] >= line]
-            kept, moved = (low, up) if high else (up, low)
-            moved = [rotate(p) for p in moved]
-            if beyond(first):
-                out.extend((moved + bridge[::-1] + kept)[:-1])
-            else:
-                out.extend((kept + bridge + moved)[:-1])
-            bridges.update(bridge)
-    if len(set(out)) != len(out):
+            foot = list(first)
+            foot[axis] = line + 1 if high else line - 1
+            low, top = (*foot[:2], level - 2), (*foot[:2], level + 2)
+            out += [start, top, low] if beyond(first) else [start, low, top]
+            bridges.update((*foot[:2], h) for h in range(level - 2, level + 3))
+    folded = tuple(out)
+    pts = unit_points(LatticeKnot(folded))
+    if len(set(pts)) != len(pts):
         seen: set[tuple[int, int, int]] = set()
-        dupes = {p for p in out if p in seen or seen.add(p)}
+        dupes = {p for p in pts if p in seen or seen.add(p)}
         if dupes & bridges:
             raise ReconnectFailure(
                 f"broken-stick bridge collides with existing geometry at {min(dupes)}"
@@ -381,22 +354,22 @@ def _fold(k, axis, line, level, side):
         raise FoldCollision(
             f"fold about the {'xy'[axis]}-line {line} left coincident lattice points"
         )
-    return out, removed, broken
+    return folded, removed, broken
 
 
-_UNIT_STEPS = frozenset({(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)})
+def _fold_finish(k, corners, axis, line, side, removed, removed_z, broken):
+    """Canonical knot and reconciled report of a fold whose output cycle is corners.
 
-
-def _fold_finish(k, pts, axis, line, side, removed, removed_z, broken):
-    """Canonical knot and reconciled report of a fold whose output cycle is pts.
-
-    A cycle of unit steps through distinct points traces a valid knot; only
-    a cycle failing that goes through validate_lattice, to name the fault.
+    The fold has tested its own cycle for collisions, but a lowered stick
+    (removed_z > 0) can land on the curve; such a cycle is expanded once
+    more, and only one whose points repeat goes through validate_lattice,
+    to name the fault.
     """
-    steps = _cycle_steps(pts)
-    knot = _knot_from_points(pts, steps)
-    if not (_UNIT_STEPS.issuperset(steps) and len(set(pts)) == len(pts)):
-        _require_valid(knot, f"fold about the {'xy'[axis]}-line {line} broke an invariant")
+    knot = canonicalize(LatticeKnot(tuple(corners)))
+    if removed_z:
+        pts = unit_points(knot)
+        if len(set(pts)) != len(pts):
+            _require_valid(knot, f"fold about the {'xy'[axis]}-line {line} broke an invariant")
     report = FoldReport(
         fold_axis="xy"[axis],
         side=side,
@@ -437,11 +410,11 @@ def fold_horizontal(
         raise ValueError("fold_horizontal expects a settled knot on z-levels 1 and 2")
     unlowered, removed, _ = _fold(k, 0, xf, 1, side)
     lower_cols = [xf] if g % 2 == 1 else [xf, 1 if side == "high" else g]
-    out = unlowered
+    corners = unlowered
     for col in lower_cols:
-        out = _lower_stick(out, col)
-    knot, report = _fold_finish(k, out, 0, xf, side, removed, 2 * len(lower_cols), 0)
-    return knot, report, _knot_from_points(unlowered)
+        corners = _lower_stick(corners, col)
+    knot, report = _fold_finish(k, corners, 0, xf, side, removed, 2 * len(lower_cols), 0)
+    return knot, report, canonicalize(LatticeKnot(unlowered))
 
 
 def fold_vertical(k: LatticeKnot, g: int, side: str) -> tuple[LatticeKnot, FoldReport]:
@@ -456,8 +429,8 @@ def fold_vertical(k: LatticeKnot, g: int, side: str) -> tuple[LatticeKnot, FoldR
     yf = _fold_line(g, side)
     if not {c[2] for c in k.corners} <= {0, 1, 2}:
         raise ValueError("fold_vertical expects a horizontally folded knot on z-levels 0..2")
-    out, removed, broken = _fold(k, 1, yf, 2, side)
-    return _fold_finish(k, out, 1, yf, side, removed, 0, broken)
+    corners, removed, broken = _fold(k, 1, yf, 2, side)
+    return _fold_finish(k, corners, 1, yf, side, removed, 0, broken)
 
 
 # ---------------------------------------------------------------------------

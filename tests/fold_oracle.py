@@ -1,12 +1,16 @@
-"""The fold as it was: a point-by-point walk of the unit-point cycle.
+"""The fold and the crease lowering as they were: point-by-point walks.
 
-A reference for ``knotfold.lattice._fold``.  It takes the curve as its
-cyclic list of unit points (``unit_points(k)``), re-finds the sticks by
-comparing each point with the next (``_step_axis``, ``_sections``) and
-expands every monotone path with the generic ``_direct_path``.  The
-fold in knotfold walks the knot's sticks instead; both must return the
-same point cycle, the same number of removed edges and the same number
-of bridges.  It shares no code with the fold: only the error types.
+A reference for ``knotfold.lattice._fold`` and ``_lower_stick``.  The
+oracle fold takes the curve as its cyclic list of unit points
+(``unit_points(k)``), re-finds the sticks by comparing each point with
+the next (``_step_axis``, ``_sections``) and expands every monotone path
+with the generic ``_direct_path``.  The fold in knotfold walks the knot's
+sticks and emits corners instead; the unit points of its corner cycle
+must equal the oracle's point cycle, with the same number of removed
+edges and the same number of bridges.  The oracle ``_lower_stick``
+replaces the crease stick's block of z=2 points in a point cycle; the one
+in knotfold drops two corners of a corner cycle, and both must trace the
+same curve.  Neither shares code with knotfold: only the error types.
 """
 
 from knotfold.errors import FoldCollision, ReconnectFailure
@@ -122,3 +126,33 @@ def fold_oracle(pts, axis, line, level, side):
             f"fold about the {'xy'[axis]}-line {line} left coincident lattice points"
         )
     return out, removed, broken
+
+
+def _lower_stick(pts, col, rotated=False):
+    """Drop the z=2 y-stick at x-level col onto z=1, removing its 2 z-edges.
+
+    The curve pattern around that stick is (col, r1, 1), (col, r1, 2),
+    ..., (col, r2, 2), (col, r2, 1); the z=2 block is replaced by the
+    straight z=1 path between the flanking corners.
+    """
+    n = len(pts)
+    block = [i for i, p in enumerate(pts) if p[0] == col and p[2] == 2]
+    if not block:
+        raise FoldCollision(f"no z=2 stick found at x-level {col} to lower")
+    lo, hi = block[0], block[-1]
+    if len(block) != hi - lo + 1:
+        if rotated:
+            raise FoldCollision(f"the z=2 points at x-level {col} form more than one run")
+        # the block wraps the list start; rotate it to the front and retry once
+        members = set(block)
+        first_out = next(i for i in range(n) if i not in members)
+        return _lower_stick(pts[first_out:] + pts[:first_out], col, rotated=True)
+    pred = pts[(lo - 1) % n]
+    succ = pts[(hi + 1) % n]
+    first, last = pts[lo], pts[hi]
+    if pred != (col, first[1], 1) or succ != (col, last[1], 1):
+        raise FoldCollision(
+            f"x-level {col} stick is not flanked by unit z-edges; cannot lower"
+        )
+    interior = [(col, p[1], 1) for p in pts[lo:hi + 1] if p[1] not in (pred[1], succ[1])]
+    return pts[:lo] + interior + pts[hi + 1 :]

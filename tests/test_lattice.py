@@ -4,9 +4,9 @@ from knotfold.errors import DegenerateCurve, FoldCollision, MalformedInput
 from knotfold.grid import parse_grid, random_grid
 from knotfold.lattice import (
     LatticeKnot,
+    _fold,
     _fold_finish,
     _fold_line,
-    _knot_from_points,
     _lower_stick,
     _require_valid,
     canonicalize,
@@ -146,6 +146,13 @@ class TestFoldVertical:
             k2, _, _ = fold_horizontal(settle(TREFOIL), 5, side)
             with pytest.raises(ValueError, match="z-level 1"):
                 fold_vertical(k2, 5, side)
+
+    def test_refuses_a_stick_running_back(self):
+        # the last stick runs down x=3 to y=0 and the first runs back up it
+        k = LatticeKnot(((3, 0, 2), (3, 1, 2), (0, 1, 2), (0, 4, 2), (0, 5, 2), (3, 5, 2)))
+        assert "lattice point (3, 1, 2) visited twice" in str(validate_lattice(k))
+        with pytest.raises(ValueError, match="runs back along the stick before it"):
+            fold_vertical(k, 3, "high")
 
     def test_broken_stick_accounting(self):
         for g in range(2, 11):
@@ -337,36 +344,40 @@ class TestLowerStick:
     def test_block_wrapping_the_list_start(self):
         g, side = 9, "high"
         col = _fold_line(g, side)
-        _, _, unlowered = fold_horizontal(settle(random_grid(g, 1)), g, side)
-        pts = unit_points(unlowered)
-        block = [i for i, p in enumerate(pts) if p[0] == col and p[2] == 2]
-        assert len(block) >= 2 and block == list(range(block[0], block[-1] + 1))
-        # start the cycle inside the block, so it wraps the end of the list
-        cut = block[0] + 1
-        wrapped = pts[cut:] + pts[:cut]
-        want = _knot_from_points(_lower_stick(pts, col))
-        assert _knot_from_points(_lower_stick(wrapped, col)) == want
+        corners, _, _ = _fold(settle(random_grid(g, 1)), 0, col, 1, side)
+        n = len(corners)
+        on_crease = [c[0] == col and c[2] == 2 for c in corners]
+        i = next(i for i in range(n) if on_crease[i] and on_crease[(i + 1) % n])
+        # start the cycle inside the crease stick, so it spans the end of the list
+        wrapped = corners[i + 1 :] + corners[: i + 1]
+        want = canonicalize(LatticeKnot(_lower_stick(corners, col)))
+        assert canonicalize(LatticeKnot(_lower_stick(wrapped, col))) == want
+        assert len(want) < n
 
 
 class TestFoldFinishErrors:
     def test_repeated_point_matches_require_valid(self):
-        pts = [
-            (0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 2, 0), (2, 2, 0), (2, 1, 0),
-            (1, 1, 0), (0, 1, 0),
-        ]
-        k = _knot_from_points(pts)
+        # lowering the crease stick at x=4 lands it on the x-stick at y=4
+        k = LatticeKnot(
+            ((0, 0, 1), (0, 4, 1), (4, 4, 1), (4, 5, 1), (4, 5, 2), (4, 0, 2), (4, 0, 1))
+        )
+        lowered = _lower_stick(_fold(k, 0, 4, 1, "low")[0], 4)
         with pytest.raises(FoldCollision) as want:
-            _require_valid(k, "fold about the x-line 1 broke an invariant")
+            _require_valid(
+                canonicalize(LatticeKnot(lowered)), "fold about the x-line 4 broke an invariant"
+            )
         with pytest.raises(FoldCollision) as got:
-            _fold_finish(k, pts, 0, 1, "high", 0, 0, 0)
-        assert str(got.value) == str(want.value)
-        assert "lattice point (1, 1, 0) visited twice" in str(got.value)
+            fold_horizontal(k, 7, "low")
+        assert str(got.value) == str(want.value) == (
+            "fold about the x-line 4 broke an invariant: "
+            "SelfIntersection: lattice point (4, 4, 1) visited twice"
+        )
 
     def test_two_unit_jump_still_valid(self):
-        # the step (2, 2, 0) -> (0, 2, 0) is two units long, yet the corners
-        # trace a valid square, so the cycle passes as it always has
-        pts = [(0, 0, 0), (1, 0, 0), (2, 0, 0), (2, 1, 0), (2, 2, 0), (0, 2, 0), (0, 1, 0)]
+        # the two-unit stick (0, 0, 0) -> (2, 0, 0) carries an extra collinear
+        # corner; the corner cycle still traces the square
+        corners = [(0, 0, 0), (1, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 0)]
         square = LatticeKnot(((0, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 0)))
-        knot, report = _fold_finish(square, pts, 0, 1, "high", 0, 0, 0)
+        knot, report = _fold_finish(square, corners, 0, 1, "high", 0, 0, 0)
         assert knot == canonicalize(square)
         assert report.pre == report.post == edge_census(square)
