@@ -13,14 +13,20 @@ fold keeps the knot type while shrinking the edge count.
 
 A fold walks its input's sticks in maximal same-axis runs and emits the
 folded curve as a cyclic corner list, one to three corners per run; the
-lowering of a crease stick drops two corners.  In the folds, unit points
-appear only in the collision tests, each of which expands a corner cycle
-once.  No floating point appears anywhere in this module.
+lowering of a crease stick drops two corners.  Self-avoidance is tested on
+sticks, never on unit points: stick i covers the closed integer interval
+from corner i to one step before corner i + 1, and the curve is
+self-avoiding exactly when those covered sets are pairwise disjoint.
+Collinear overlaps are found by sorting each line's intervals and
+perpendicular hits by a plane sweep, so a self-avoiding curve of n sticks
+passes in O(n log n), whatever the sticks' lengths.  No floating point
+appears anywhere in this module.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 from .errors import (
@@ -114,22 +120,6 @@ def edge_census(k: LatticeKnot) -> EdgeCensus:
     )
 
 
-def unit_points(k: LatticeKnot) -> list[tuple[int, int, int]]:
-    """The cyclic lattice-point trace of the curve, one entry per edge."""
-    pts: list[tuple[int, int, int]] = []
-    for p, q in zip(k.corners, k.corners[1:] + k.corners[:1]):
-        (x, y, z), (u, v, w) = p, q
-        if x != u and y == v and z == w:
-            pts += [(t, y, z) for t in range(x, u, 1 if u > x else -1)]
-        elif y != v and x == u and z == w:
-            pts += [(x, t, z) for t in range(y, v, 1 if v > y else -1)]
-        elif z != w and x == u and y == v:
-            pts += [(x, y, t) for t in range(z, w, 1 if w > z else -1)]
-        else:
-            raise ValueError(f"corners {p} -> {q} do not span an axis stick")
-    return pts
-
-
 def canonicalize(k: LatticeKnot) -> LatticeKnot:
     """Canonical form: colinear merges, deterministic rotation and direction.
 
@@ -169,8 +159,82 @@ def _unit_dir(p, q):
     return None
 
 
+def _meetings(sticks):
+    """Yield (i, j, lo, hi) for every pair of sticks i < j whose covered sets meet.
+
+    ``sticks`` is sticks_of(k).  Stick i covers the lattice points from its
+    start corner to one step before its end corner, a closed integer
+    interval along its axis; lo and hi are the least and greatest points
+    the pair has in common.  Collinear pairs come from sorting each line's
+    intervals by their low ends.  Perpendicular pairs come from one sweep
+    per pair of axes, in each plane of the third axis that holds sticks of
+    both: sticks along the swept axis are inserted at their low end and
+    removed after their high end, and each stick along the other axis asks
+    for the inserted sticks whose fixed coordinate it spans (the
+    orthogonal-segment case of Bentley and Ottmann, IEEE Trans. Comput.
+    C-28, 1979).  Without meetings this takes O(n log n) in the number of
+    sticks; each meeting pair adds O(1).
+    """
+    by_axis: list[list[tuple[tuple, int, int, int]]] = [[], [], []]
+    for i, (axis, p, q, _) in enumerate(sticks):
+        lo, hi = (p[axis], q[axis] - 1) if q[axis] > p[axis] else (q[axis] + 1, p[axis])
+        by_axis[axis].append((p, lo, hi, i))
+
+    def point(p, axis, t):
+        return (*p[:axis], t, *p[axis + 1 :])
+
+    for axis, spans in enumerate(by_axis):
+        u, v = [j for j in range(3) if j != axis]
+        line_u = line_v = None
+        reach: list[tuple[int, int]] = []  # (hi, index) of this line's spans that reach lo
+        for fu, fv, lo, hi, i in sorted([(p[u], p[v], lo, hi, i) for p, lo, hi, i in spans]):
+            if fu != line_u or fv != line_v:
+                line_u, line_v, reach = fu, fv, [(hi, i)]
+                continue
+            reach = [r for r in reach if r[0] >= lo]
+            for top, j in reach:
+                p = sticks[i][1]
+                yield min(i, j), max(i, j), point(p, axis, lo), point(p, axis, min(hi, top))
+            reach.append((hi, i))
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        c = 3 - a - b
+        planes = {s[0][c] for s in by_axis[a]} & {s[0][c] for s in by_axis[b]}
+        # insert < query < remove at one position, since the intervals are closed
+        events = [(p[c], lo, 0, p[b], i) for p, lo, _, i in by_axis[a] if p[c] in planes]
+        events += [(p[c], hi, 2, p[b], i) for p, _, hi, i in by_axis[a] if p[c] in planes]
+        events += [(p[c], p[a], 1, lo, hi, j) for p, lo, hi, j in by_axis[b] if p[c] in planes]
+        events.sort()
+        # (b-coordinate, index) of the a-sticks the sweep is inside, sorted;
+        # it is empty again at the end of each plane
+        active: list[tuple[int, int]] = []
+        for event in events:
+            kind = event[2]
+            if kind == 0:
+                insort(active, event[3:])
+            elif kind == 2:
+                del active[bisect_left(active, event[3:])]
+            else:
+                plane, pos, _, lo, hi, j = event
+                t = bisect_left(active, (lo,))
+                while t < len(active) and active[t][0] <= hi:
+                    w, i = active[t]
+                    meet = [0, 0, 0]
+                    meet[a], meet[b], meet[c] = pos, w, plane
+                    yield min(i, j), max(i, j), tuple(meet), tuple(meet)
+                    t += 1
+
+
 def validate_lattice(k: LatticeKnot) -> ValidationReport:
-    """Closure, axis-parallelism, and self-avoidance checks, report style."""
+    """Closure, axis-parallelism, and self-avoidance checks, report style.
+
+    Self-avoidance is tested on sticks: stick i covers the closed integer
+    interval from corner i to one step before corner i + 1, and the curve
+    is self-avoiding exactly when those covered sets are pairwise
+    disjoint.  A SelfIntersection names the point whose second visit comes
+    first in trace order.  In the number n of sticks the test costs
+    O(n log n), and O(n log^2 n) when it finds a collision, whatever the
+    lengths of the sticks or the number of points visited twice.
+    """
     report = ValidationReport()
     corners = k.corners
     m = len(corners)
@@ -189,11 +253,25 @@ def validate_lattice(k: LatticeKnot) -> ValidationReport:
             report.add(code, f"segment {p} -> {q} changes {ndiff} coordinates")
             structural_ok = False
     if structural_ok:
-        pts = unit_points(k)
-        if len(set(pts)) != len(pts):
-            # name the point whose second visit comes first in trace order
-            seen: set[tuple] = set()
-            p = next(p for p in pts if p in seen or seen.add(p))
+        sticks = sticks_of(k)
+        if next(_meetings(sticks), None):
+            # The second visit that comes first in trace order lies on the
+            # least stick j that meets an earlier stick.  Sticks 0..j-1 are
+            # then pairwise disjoint, so every meeting among sticks 0..j
+            # involves j: at most j of them, however many the curve has.
+            j, top = 1, len(sticks) - 1
+            while j < top:
+                mid = (j + top) // 2
+                if next(_meetings(sticks[: mid + 1]), None):
+                    top = mid
+                else:
+                    j = mid + 1
+            axis, start, end, _ = sticks[j]
+            forward = end[axis] > start[axis]
+            # stick j meets each earlier stick in a run of its points; the
+            # run's end nearer start is visited first
+            near = [lo if forward else hi for *_, lo, hi in _meetings(sticks[: j + 1])]
+            p = min(near, key=lambda c: abs(c[axis] - start[axis]))
             report.add("SelfIntersection", f"lattice point {p} visited twice")
     return report
 
@@ -282,10 +360,12 @@ def _fold(k, axis, line, level, side):
     fold doubles; it emits nothing when those images coincide.  A fold-axis
     run on z-level level - 2 that the line severs also emits the two
     corners of a bridge of two fold-axis edges and four z-edges one unit
-    beyond the line, around the outside of the fold.  The folded corner
-    cycle is expanded once into unit points to test it for collisions.
-    Returns the folded corner cycle, the number of doubled edges removed
-    and the number of bridges built.
+    beyond the line, around the outside of the fold.  The folded cycle is
+    tested for collisions once, by the covered intervals of its sticks (see
+    _meetings).  A collision raises ReconnectFailure when a point visited
+    twice lies on a bridge's column, else FoldCollision; either names the
+    least point visited twice.  Returns the folded corner cycle, the number
+    of doubled edges removed and the number of bridges built.
     """
     offset = [0, 0, 2 * level]
     offset[axis] = 2 * line
@@ -316,7 +396,7 @@ def _fold(k, axis, line, level, side):
                 "so the curve overlaps itself"
             )
     out: list[tuple[int, int, int]] = []
-    bridges: set[tuple[int, int, int]] = set()
+    bridged: set[int] = set()  # the index of each bridge's z-stick in out
     removed = broken = 0
     for (run_axis, first), (_, last) in zip(runs, runs[1:] + runs[:1]):
         start = image(first)
@@ -340,16 +420,24 @@ def _fold(k, axis, line, level, side):
             foot = list(first)
             foot[axis] = line + 1 if high else line - 1
             low, top = (*foot[:2], level - 2), (*foot[:2], level + 2)
+            bridged.add(len(out) + 1)
             out += [start, top, low] if beyond(first) else [start, low, top]
-            bridges.update((*foot[:2], h) for h in range(level - 2, level + 3))
     folded = tuple(out)
-    pts = unit_points(LatticeKnot(folded))
-    if len(set(pts)) != len(pts):
-        seen: set[tuple[int, int, int]] = set()
-        dupes = {p for p in pts if p in seen or seen.add(p)}
-        if dupes & bridges:
+    hits = list(_meetings(sticks_of(LatticeKnot(folded))))
+    if hits:
+        n = len(folded)
+
+        def on_bridge(s, lo, hi):
+            # a bridge's column is its z-stick's covered set and the first
+            # point of the stick after it
+            return s in bridged or (
+                (s - 1) % n in bridged and all(u <= v <= w for u, v, w in zip(lo, folded[s], hi))
+            )
+
+        least = min(lo for _, _, lo, _ in hits)
+        if any(on_bridge(s, lo, hi) for i, j, lo, hi in hits for s in (i, j)):
             raise ReconnectFailure(
-                f"broken-stick bridge collides with existing geometry at {min(dupes)}"
+                f"broken-stick bridge collides with existing geometry at {least}"
             )
         raise FoldCollision(
             f"fold about the {'xy'[axis]}-line {line} left coincident lattice points"
@@ -361,15 +449,13 @@ def _fold_finish(k, corners, axis, line, side, removed, removed_z, broken):
     """Canonical knot and reconciled report of a fold whose output cycle is corners.
 
     The fold has tested its own cycle for collisions, but a lowered stick
-    (removed_z > 0) can land on the curve; such a cycle is expanded once
-    more, and only one whose points repeat goes through validate_lattice,
-    to name the fault.
+    (removed_z > 0) can land on the curve, so a lowered cycle goes through
+    validate_lattice once more: its sticks' covered intervals must be
+    pairwise disjoint.
     """
     knot = canonicalize(LatticeKnot(tuple(corners)))
     if removed_z:
-        pts = unit_points(knot)
-        if len(set(pts)) != len(pts):
-            _require_valid(knot, f"fold about the {'xy'[axis]}-line {line} broke an invariant")
+        _require_valid(knot, f"fold about the {'xy'[axis]}-line {line} broke an invariant")
     report = FoldReport(
         fold_axis="xy"[axis],
         side=side,
@@ -403,6 +489,11 @@ def fold_horizontal(
     x-level) drop to z-level 1, saving two z-edges each.  Returns the
     folded knot, its report, and the folded curve as it was before those
     sticks were lowered, which is the input that fold_vertical expects.
+
+    The input must be self-avoiding.  That precondition is not checked:
+    run_pipeline's input here is settle's output, which settle has checked.
+    The folded curve is checked, before and after the lowering, but a fold
+    can remove the very overlap that made an input invalid.
     """
     xf = _fold_line(g, side)
     # the corners' levels bound the points' levels, and {1, 2} has no gap
@@ -425,6 +516,11 @@ def fold_vertical(k: LatticeKnot, g: int, side: str) -> tuple[LatticeKnot, FoldR
     z-levels 0 and 2.  The y-sticks on z-level 2 lose their doubled edges,
     the x-sticks beyond the line move to z-level 3, and the y-sticks on
     z-level 0 that the line severs are bridged.
+
+    The input must be self-avoiding.  That precondition is not checked:
+    run_pipeline's input here is the unlowered curve that _fold has
+    checked.  The folded curve is checked, but a fold can remove the very
+    overlap that made an input invalid.
     """
     yf = _fold_line(g, side)
     if not {c[2] for c in k.corners} <= {0, 1, 2}:
@@ -435,6 +531,11 @@ def fold_vertical(k: LatticeKnot, g: int, side: str) -> tuple[LatticeKnot, FoldR
 
 # ---------------------------------------------------------------------------
 # serialization
+
+# Parsed corners and imported geometry stay within this bound, so every
+# coordinate, arc end and difference of two of them is an integer that a
+# float64 holds exactly.
+_MAX_COORD = 2**50
 
 
 def serialize_lattice(
@@ -458,7 +559,11 @@ def serialize_lattice(
 
 
 def parse_lattice(text: str) -> tuple[LatticeKnot, dict]:
-    """Invert serialize_lattice for both forms; no validation is performed."""
+    """Invert serialize_lattice for both forms.
+
+    Only the format and the coordinate bound are checked; validate_lattice
+    checks the curve.
+    """
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
@@ -474,7 +579,7 @@ def parse_lattice(text: str) -> tuple[LatticeKnot, dict]:
         provenance = data.get("provenance", {})
         if not isinstance(provenance, dict):
             raise MalformedInput(f"JSON lattice provenance must be an object, not {provenance!r}")
-        return LatticeKnot(tuple(map(tuple, corners))), provenance
+        return _bounded(tuple(map(tuple, corners))), provenance
     provenance: dict = {}
     corners_list = []
     for raw in text.splitlines():
@@ -496,4 +601,12 @@ def parse_lattice(text: str) -> tuple[LatticeKnot, dict]:
             raise MalformedInput(f"non-integer corner {line!r}") from exc
     if not corners_list:
         raise MalformedInput("no corners found")
-    return LatticeKnot(tuple(corners_list)), provenance
+    return _bounded(tuple(corners_list)), provenance
+
+
+def _bounded(corners) -> LatticeKnot:
+    """The knot of parsed corners; a coordinate beyond 2**50 in magnitude is refused."""
+    for c in corners:
+        if max(map(abs, c)) > _MAX_COORD:
+            raise MalformedInput(f"corner {c} lies beyond 2**50 in magnitude")
+    return LatticeKnot(corners)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .bounds import PiExpr
 from .errors import BadDensity, DegenerateKnot, MalformedInput
-from .lattice import LatticeKnot, canonicalize
+from .lattice import _MAX_COORD, LatticeKnot, canonicalize
 
 
 @dataclass(frozen=True)
@@ -706,11 +706,6 @@ def import_polyline(text: str) -> list[tuple[float, float, float]]:
     if not verts:
         raise MalformedInput("no vertices found")
     return verts
-
-
-# Imported coordinates stay within this bound, so every coordinate, arc end
-# and difference of two of them is an integer that a float64 holds exactly.
-_MAX_COORD = 2**50
 
 
 def _unit_axis(w) -> bool:

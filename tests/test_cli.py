@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -113,6 +114,15 @@ class TestCertify:
         assert "MalformedInput" in stderr
         assert "PASS" not in stdout
 
+    def test_corner_beyond_bound_exit_2(self, tmp_path, capsys):
+        far = 2**50 + 1
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps({"corners": [[0, 0, 0], [far, 0, 0], [far, 1, 0], [0, 1, 0]]}))
+        code, stdout, stderr = run(capsys, "certify", "--lattice", str(path), "--out", str(tmp_path))
+        assert code == 2
+        assert "MalformedInput" in stderr and "2**50" in stderr
+        assert "PASS" not in stdout
+
     @pytest.mark.parametrize("key", ["g", "step", "crossing_number", "known_minimum_edges"])
     @pytest.mark.parametrize("value", ["x", 2.5, None, True])
     def test_non_integer_provenance_json_exit_2(self, tmp_path, capsys, key, value):
@@ -154,6 +164,26 @@ class TestCertify:
         assert code == 2
         assert "SizeTooSmall" in stderr
         assert "PASS" not in stdout
+
+    @pytest.mark.parametrize("length", [10**6, 2**40])
+    def test_long_rectangle_validates_in_constant_memory(self, tmp_path, capsys, length):
+        # a file of under 100 bytes; its sticks are checked as intervals,
+        # never expanded into unit points
+        corners = [[0, 0, 0], [length, 0, 0], [length, 1, 0], [0, 1, 0]]
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps({"corners": corners, "provenance": {"g": 2, "step": 1}}))
+        tracemalloc.start()
+        try:
+            code, stdout, _ = run(
+                capsys, "certify", "--lattice", str(path), "--out", str(tmp_path)
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1  # the step-1 edge bound fails
+        assert "[PASS] lattice_valid" in stdout
+        assert "[FAIL] edges_le_step1_bound" in stdout
+        assert peak < 5 * 2**20
 
     def test_clean_lattice_passes(self, tmp_path, capsys):
         out = tmp_path / "o"

@@ -32,8 +32,8 @@ from knotfold.lattice import (
     fold_horizontal,
     fold_vertical,
     settle,
-    unit_points,
 )
+from lattice_oracle import unit_points
 
 SIDES = ("high", "low")
 

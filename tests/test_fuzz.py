@@ -100,6 +100,7 @@ lattice_texts = st.one_of(
 @example(json.dumps({"corners": [[0, 0, 0, 5], [1, 0, 0], [1, 1, 0], [0, 1, 0]]}))
 @example(serialize_lattice(SQUARE, {"g": 2}, form="json"))
 @example(serialize_lattice(SQUARE, {"g": 2}))
+@example(json.dumps({"corners": [[0, 0, 0], [2**50 + 1, 0, 0], [2**50 + 1, 1, 0], [0, 1, 0]]}))
 def test_parse_lattice_refuses_only_with_knotfold_errors(text):
     parsed = accepts(parse_lattice, text)
     if parsed is not None:
@@ -108,7 +109,7 @@ def test_parse_lattice_refuses_only_with_knotfold_errors(text):
         assert knot.corners
         for corner in knot.corners:
             assert isinstance(corner, tuple) and len(corner) == 3
-            assert all(type(v) is int for v in corner)
+            assert all(type(v) is int and abs(v) <= 2**50 for v in corner)
 
 
 def _records(knot):

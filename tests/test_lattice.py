@@ -16,10 +16,10 @@ from knotfold.lattice import (
     parse_lattice,
     serialize_lattice,
     settle,
-    unit_points,
     validate_lattice,
 )
 from knotfold.pipeline import run_pipeline
+from lattice_oracle import unit_points
 
 TREFOIL = parse_grid("X: 1,2,3,4,5\nO: 3,4,5,1,2\n")
 UNKNOT2 = parse_grid("X: 1,2\nO: 2,1\n")
@@ -284,6 +284,16 @@ class TestSerialize:
             parse_lattice("")
         with pytest.raises(MalformedInput):
             parse_lattice('{"corners": "nope"}')
+
+    @pytest.mark.parametrize("form", ["text", "json"])
+    @pytest.mark.parametrize("v", [2**50, -(2**50)])
+    def test_coordinate_bound(self, form, v):
+        def rectangle(w):
+            return LatticeKnot(((0, 0, 0), (w, 0, 0), (w, 1, 0), (0, 1, 0)))
+
+        assert parse_lattice(serialize_lattice(rectangle(v), form=form))[0] == rectangle(v)
+        with pytest.raises(MalformedInput, match=r"beyond 2\*\*50"):
+            parse_lattice(serialize_lattice(rectangle(v + (1 if v > 0 else -1)), form=form))
 
 
 def test_unit_points_length_equals_edges():

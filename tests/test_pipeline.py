@@ -1,7 +1,8 @@
+import tracemalloc
 from fractions import Fraction
 
 from knotfold.bounds import Provenance, certify, step_bound
-from knotfold.grid import parse_grid
+from knotfold.grid import parse_grid, random_grid
 from knotfold.lattice import validate_lattice
 from knotfold.pipeline import run_pipeline
 
@@ -69,3 +70,19 @@ def test_random_suite_validity_and_bounds(pipelines200):
                 seed,
                 step,
             )
+
+
+def test_memory_grows_with_corners():
+    # a step-1 knot has 4g corners but up to g^2 + 2g unit edges, so a
+    # pipeline that never expands unit points needs about twice the memory
+    # at twice g, not four times
+    def peak(g):
+        d = random_grid(g, 1)
+        tracemalloc.start()
+        try:
+            run_pipeline(d)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(1024) < 3 * peak(512)
