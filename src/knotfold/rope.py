@@ -19,6 +19,13 @@ non-adjacent pairs whose boxes lie within r of each other, from r = 2,
 the clearance of the doubled lattice.  A minimum <= r is exact, since
 every pair left out is farther apart than r; otherwise r grows and the
 scan repeats, until at the knot's own extent every pair is a candidate.
+
+The pieces become arrays once per scan, and the candidate pairs are
+measured in chunks of fixed size.  Straight-straight and arc-straight
+pairs go through exact batched kernels.  Arcs in perpendicular planes
+first pass a batched five-sample screen; only the pairs it cannot rule
+out, and every pair of arcs in parallel planes, reach the scalar arc-arc
+kernel.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import chain, zip_longest
 
 import numpy as np
 
@@ -154,20 +161,6 @@ def rope_metrics(s: SmoothKnot) -> RopeMetrics:
     )
 
 
-def _point_seg_dist3(px, py, pz, ax, ay, az, bx, by, bz):
-    abx, aby, abz = bx - ax, by - ay, bz - az
-    denom = abx * abx + aby * aby + abz * abz
-    if denom == 0.0:
-        dx, dy, dz = px - ax, py - ay, pz - az
-        return math.sqrt(dx * dx + dy * dy + dz * dz)
-    t = ((px - ax) * abx + (py - ay) * aby + (pz - az) * abz) / denom
-    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-    dx = px - (ax + t * abx)
-    dy = py - (ay + t * aby)
-    dz = pz - (az + t * abz)
-    return math.sqrt(dx * dx + dy * dy + dz * dz)
-
-
 def _point_arc_dist(p, arc: ArcPiece) -> float:
     """Exact distance from a point to a quarter arc.
 
@@ -219,63 +212,89 @@ def _in_cone(wu: float, wv: float) -> bool:
     return wu >= -1e-12 and wv >= -1e-12
 
 
-def _arc_seg_dist(arc: ArcPiece, a, b) -> float:
-    """Exact min distance from a quarter arc to an axis-parallel segment.
+def _point_arc_batch(w, u, v):
+    """`_point_arc_dist` on rows: w is the point minus the arc's center.
+
+    The float operations are the scalar ones in the same order, except
+    that rho is sqrt(wu^2 + wv^2): on integer-valued rows that sum is exact,
+    so rho is math.hypot's correctly rounded result, and otherwise the two
+    may differ in the last bit.  rho = 0 needs no branch, since then the
+    clamped cosine is 1 and the general formula reduces to 1 + h2.
+    """
+    wu = w[:, 0] * u[:, 0] + w[:, 1] * u[:, 1] + w[:, 2] * u[:, 2]
+    wv = w[:, 0] * v[:, 0] + w[:, 1] * v[:, 1] + w[:, 2] * v[:, 2]
+    h2 = w[:, 0] * w[:, 0] + w[:, 1] * w[:, 1] + w[:, 2] * w[:, 2] - wu * wu - wv * wv
+    rho = np.sqrt(wu * wu + wv * wv)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        maxcos = np.where((wu >= 0.0) & (wv >= 0.0), 1.0, np.maximum(wu, wv) / rho)
+    return np.sqrt(np.maximum(1.0 + rho * rho - 2.0 * rho * maxcos + np.maximum(h2, 0.0), 0.0))
+
+
+def _point_seg_batch(p, a, b):
+    """Distances from points to segments of positive length, one row each."""
+    ab, ap = b - a, p - a
+    denom = ab[:, 0] * ab[:, 0] + ab[:, 1] * ab[:, 1] + ab[:, 2] * ab[:, 2]
+    t = (ap[:, 0] * ab[:, 0] + ap[:, 1] * ab[:, 1] + ap[:, 2] * ab[:, 2]) / denom
+    t = np.clip(t, 0.0, 1.0)
+    dx = p[:, 0] - (a[:, 0] + t * ab[:, 0])
+    dy = p[:, 1] - (a[:, 1] + t * ab[:, 1])
+    dz = p[:, 2] - (a[:, 2] + t * ab[:, 2])
+    return np.sqrt(dx * dx + dy * dy + dz * dz)
+
+
+def _arc_seg_batch(c, u, v, a, b):
+    """Exact min distances from quarter arcs to axis-parallel segments, one
+    row per pair: arc center, u and v, then segment start and end.
 
     Split by the segment direction: along the arc-plane normal the nearest
     segment point is the one at the arc's level, so the point-to-arc
     formula applies; in-plane directions reduce to 2D circle vs segment,
     where the minimum is at one of finitely many critical candidates
-    (endpoints, poles, crossings).
+    (endpoints, poles, crossings).  The cases and their float operations
+    are those of the scalar `_arc_seg_dist` in tests/scan_oracle.py, so
+    on integer coordinates below 2**24 in magnitude, where every integer
+    intermediate is exact in float64, the result is the same to the last bit.
     """
-    n_axis = next(i for i in range(3) if arc.u[i] == 0 and arc.v[i] == 0)
-    d = tuple(b[i] - a[i] for i in range(3))
-    if all(x == 0 for x in d) or d[n_axis] != 0:
-        # along the normal (or a point): the segment point nearest the arc
-        # has its normal coordinate clamped to the arc's level
-        lo, hi = sorted((a[n_axis], b[n_axis]))
-        p = list(a)
-        p[n_axis] = min(max(arc.center[n_axis], lo), hi)
-        return _point_arc_dist(p, arc)
+    rows = np.arange(len(c))
+    n = np.argmin(np.abs(u) + np.abs(v), axis=1)  # the arc plane's normal axis
+    an, bn, cn = a[rows, n], b[rows, n], c[rows, n]
+    # along the normal (or a point): the segment point nearest the arc has
+    # its normal coordinate clamped to the arc's level; in the plane that
+    # clamp leaves a, the first end
+    p = a.copy()
+    p[rows, n] = np.minimum(np.maximum(cn, np.minimum(an, bn)), np.maximum(an, bn))
+    best = _point_arc_batch(p - c, u, v)
+    flat = np.flatnonzero((an == bn) & (a != b).any(axis=1))
+    if not len(flat):
+        return best
+    c, u, v, a, b, n = c[flat], u[flat], v[flat], a[flat], b[flat], n[flat]
+    rows = np.arange(len(flat))
+    s = np.argmax(np.abs(b - a), axis=1)  # the segment's axis
+    q = 3 - n - s  # the in-plane axis across it
+    lo, hi = np.minimum(a[rows, s], b[rows, s]), np.maximum(a[rows, s], b[rows, s])
+    h = a[rows, n] - c[rows, n]
     cands = [
-        _point_arc_dist(a, arc),
-        _point_arc_dist(b, arc),
-        _point_seg_dist3(*arc.start, *a, *b),
-        _point_seg_dist3(*arc.end, *a, *b),
+        _point_arc_batch(b - c, u, v),
+        _point_seg_batch(c + u, a, b),
+        _point_seg_batch(c + v, a, b),
     ]
-    # poles: circle points whose radial direction is perpendicular to the
-    # segment; a candidate when inside the quarter and over the segment
-    h = float(a[n_axis]) - float(arc.center[n_axis])
-    seg_axis = next(i for i in range(3) if d[i] != 0)
-    perp_axis = next(i for i in range(3) if i != n_axis and i != seg_axis)
-    for sgn in (1, -1):
-        f = [0, 0, 0]
-        f[perp_axis] = sgn
-        fu = sum(f[i] * arc.u[i] for i in range(3))
-        fv = sum(f[i] * arc.v[i] for i in range(3))
-        if not _in_cone(fu, fv):
-            continue
-        pole = tuple(arc.center[i] + f[i] for i in range(3))
-        lo, hi = sorted((a[seg_axis], b[seg_axis]))
-        if lo <= pole[seg_axis] <= hi:
-            cands.append(math.hypot(pole[perp_axis] - a[perp_axis], h))
+    # the pole: of the two circle points whose radial direction is along q,
+    # the one in the quarter (u or v itself); a candidate when over the segment
+    cs = c[rows, s]
+    pole = c[rows, q] + u[rows, q] + v[rows, q] - a[rows, q]
+    cands.append(np.where((lo <= cs) & (cs <= hi), np.sqrt(pole * pole + h * h), math.inf))
     # crossings: the segment passes over or under the arc
-    k = float(a[perp_axis]) - float(arc.center[perp_axis])
-    if abs(k) <= 1.0:
-        off = math.sqrt(max(1.0 - k * k, 0.0))
-        for sgn in (1, -1):
-            w = [0.0, 0.0, 0.0]
-            w[perp_axis] = k
-            w[seg_axis] = sgn * off
-            wu = sum(w[i] * arc.u[i] for i in range(3))
-            wv = sum(w[i] * arc.v[i] for i in range(3))
-            if not _in_cone(wu, wv):
-                continue
-            x = arc.center[seg_axis] + w[seg_axis]
-            lo, hi = sorted((a[seg_axis], b[seg_axis]))
-            if lo <= x <= hi:
-                cands.append(abs(h))
-    return min(cands)
+    k = a[rows, q] - c[rows, q]
+    off = np.sqrt(np.maximum(1.0 - k * k, 0.0))
+    for sgn in (1.0, -1.0):
+        ws = sgn * off
+        wu = k * u[rows, q] + ws * u[rows, s]
+        wv = k * v[rows, q] + ws * v[rows, s]
+        x = cs + ws
+        hit = (np.abs(k) <= 1.0) & (wu >= -1e-12) & (wv >= -1e-12) & (lo <= x) & (x <= hi)
+        cands.append(np.where(hit, np.abs(h), math.inf))
+    best[flat] = np.minimum(best[flat], np.min(cands, axis=0))
+    return best
 
 
 def _arc_arc_parallel_dist(a1: ArcPiece, a2: ArcPiece, n_axis: int) -> float:
@@ -343,6 +362,20 @@ def _arc_arc_dist(a1: ArcPiece, a2: ArcPiece, cutoff: float) -> float:
     for t in _unit_roots(_stationary_poly(a1, a2)):
         cands.append(_point_arc_dist(a2.point(2.0 * math.atan(t)), a1))
     return min(cands)
+
+
+# cos and sin of the screen's inner samples, at theta = pi/8, pi/4, 3pi/8
+_SCREEN_TRIG = [(math.cos(t), math.sin(t)) for t in (k * _QUARTER / 4 for k in (1, 2, 3))]
+
+
+def _arc_arc_screen(c1, u1, v1, c2, u2, v2):
+    """`_arc_arc_dist`'s sampled distance on rows of arc pairs: the least
+    distance from arc 2's start, its points at pi/8, pi/4 and 3pi/8, and its
+    end to arc 1."""
+    best = _point_arc_batch(c2 + u2 - c1, u1, v1)
+    for ct, st in _SCREEN_TRIG:
+        best = np.minimum(best, _point_arc_batch(c2 + ct * u2 + st * v2 - c1, u1, v1))
+    return np.minimum(best, _point_arc_batch(c2 + v2 - c1, u1, v1))
 
 
 def _stationary_poly(a1: ArcPiece, a2: ArcPiece) -> list[int]:
@@ -485,24 +518,28 @@ def _refine_root(p: list[int], a: Fraction, b: Fraction) -> float:
 
 
 _CELL = 4
+_CHUNK = 4096  # candidate pairs per batch, which bounds the kernels' scratch memory
 
 
-def _piece_boxes(pieces) -> tuple[np.ndarray, np.ndarray]:
-    """Integer bounding boxes (lo, hi), one row per piece.
+def _piece_arrays(pieces) -> tuple[np.ndarray, ...]:
+    """The pieces as int64 rows of 3-vectors, one row per stick: arc center,
+    u and v (the arcs are the even pieces), straight start and end (the odd)."""
+    rows = [(*a.center, *a.u, *a.v, *b.start, *b.end) for a, b in zip(pieces[0::2], pieces[1::2])]
+    table = np.array(rows, dtype=np.int64).reshape(-1, 5, 3)
+    return tuple(table[:, k] for k in range(5))
+
+
+def _piece_boxes(center, u, v, start, end) -> tuple[np.ndarray, np.ndarray]:
+    """Integer bounding boxes (lo, hi), one row per piece, from `_piece_arrays`.
 
     An arc's box is its center +-1 in its plane and its center along the
     normal; a straight's box spans its two endpoints.
     """
-    lo = np.empty((len(pieces), 3), dtype=np.int64)
+    ext = np.abs(u) + np.abs(v)
+    lo = np.empty((2 * len(center), 3), dtype=np.int64)
     hi = np.empty_like(lo)
-    for i, p in enumerate(pieces):
-        if isinstance(p, ArcPiece):
-            ext = [abs(a) + abs(b) for a, b in zip(p.u, p.v)]
-            lo[i] = [c - e for c, e in zip(p.center, ext)]
-            hi[i] = [c + e for c, e in zip(p.center, ext)]
-        else:
-            lo[i] = np.minimum(p.start, p.end)
-            hi[i] = np.maximum(p.start, p.end)
+    lo[0::2], hi[0::2] = center - ext, center + ext
+    lo[1::2], hi[1::2] = np.minimum(start, end), np.maximum(start, end)
     return lo, hi
 
 
@@ -549,48 +586,77 @@ def _near_pairs(lo: np.ndarray, hi: np.ndarray, r: int) -> tuple[np.ndarray, np.
     return i[keep], j[keep]
 
 
-def _scan_pairs(pieces, i: np.ndarray, j: np.ndarray) -> float:
-    """Minimum distance over the given piece pairs (i < j, arcs at even indices)."""
-    best = math.inf
+def _per_chunk(kernel, x, y, xs, ys):
+    """kernel on rows x of the arrays xs and rows y of ys, _CHUNK pairs at a time."""
+    for k in range(0, len(x), _CHUNK):
+        cx, cy = x[k : k + _CHUNK], y[k : k + _CHUNK]
+        yield kernel(*(w[cx] for w in xs), *(w[cy] for w in ys))
+
+
+def _scan_pairs(pieces, arrays, i: np.ndarray, j: np.ndarray, r: int) -> float:
+    """Minimum distance over the given piece pairs (i < j, arcs at even indices).
+
+    `arrays` is `_piece_arrays` in float64.  Segment-segment and
+    arc-segment pairs go through the exact batched kernels.  Arc-arc pairs
+    go through the scalar `_arc_arc_dist` in order of the lower bound
+    |c1 - c2| - 2, against the running minimum.  First, though, the batched
+    screen drops each perpendicular pair that `_arc_arc_dist`'s own screen
+    would settle from its samples against the minimum over the pairs with
+    a straight.  So the scalar kernel sees the parallel pairs and the
+    perpendicular pairs that come close.
+    """
+    center, u, v, start, end = arrays
+    arc, seg = (center, u, v), (start, end)
     kind = (i % 2) + 2 * (j % 2)  # 0 arc-arc, 1 seg-arc, 2 arc-seg, 3 seg-seg
-
     ss = kind == 3
-    if ss.any():
-        starts = np.array([p.start for p in pieces], dtype=float)
-        ends = np.array([p.end for p in pieces], dtype=float)
-        a, b = i[ss], j[ss]
-        dists = _seg_seg_batch(starts[a], ends[a], starts[b], ends[b])
-        best = min(best, float(dists.min()))
-
-    # arcs stay within distance 1 of their centers, giving cheap lower
-    # bounds that prune almost every pair against the running minimum
     mixed = (kind == 1) | (kind == 2)
-    arcs = np.where(kind == 1, j, i)[mixed].tolist()
-    segs = np.where(kind == 1, i, j)[mixed].tolist()
-    arc_seg_cands = [
-        (_point_seg_dist3(*pieces[a].center, *pieces[b].start, *pieces[b].end) - 1.0, a, b)
-        for a, b in zip(arcs, segs)
-    ]
-    arc_seg_cands.sort()
-    for lb, a, b in arc_seg_cands:
-        if lb >= best - _TOL:
-            break
-        d = _arc_seg_dist(pieces[a], pieces[b].start, pieces[b].end)
-        if d < best:
-            best = d
+    arcs = np.where(kind == 1, j, i)[mixed] // 2
+    segs = np.where(kind == 1, i, j)[mixed] // 2
+    best = math.inf
+    for d in chain(
+        _per_chunk(_seg_seg_batch, i[ss] // 2, j[ss] // 2, seg, seg),
+        _per_chunk(_arc_seg_batch, arcs, segs, arc, seg),
+    ):
+        best = min(best, float(d.min()))
 
     aa = kind == 0
-    arc_arc_cands = [
-        (math.dist(pieces[a].center, pieces[b].center) - 2.0, a, b)
-        for a, b in zip(i[aa].tolist(), j[aa].tolist())
+    first, second = i[aa], j[aa]
+    normal = np.argmin(np.abs(u) + np.abs(v), axis=1)
+    perp = np.flatnonzero(normal[first // 2] != normal[second // 2])
+    # np.sqrt and math.hypot may part in the last bit of rho, which moves a
+    # sampled distance d >= pi/16 (the only ones the rule can drop) by less
+    # than 1e-15 * (d + 16); the screen keeps a thousandfold margin on that,
+    # so it never drops a pair that the scalar screen would keep with a
+    # running minimum no larger than best
+    ruled = [
+        d - _QUARTER / 8 - 1e-12 * (d + 16.0) >= best - _TOL
+        for d in _per_chunk(_arc_arc_screen, first[perp] // 2, second[perp] // 2, arc, arc)
     ]
-    arc_arc_cands.sort()
+    keep = np.ones(len(first), dtype=bool)
+    if ruled:
+        keep[perp[np.concatenate(ruled)]] = False
+    arc_arc_cands = sorted(
+        (math.dist(pieces[a].center, pieces[b].center) - 2.0, a, b)
+        for a, b in zip(first[keep].tolist(), second[keep].tolist())
+    )
+    calls = 0
     for lb, a, b in arc_arc_cands:
         if lb >= best - _TOL:
             break
+        calls += 1
         d = _arc_arc_dist(pieces[a], pieces[b], cutoff=best)
         if d < best:
             best = d
+
+    # imported here, not with the module: `import logging` adds time and
+    # memory to the start-up of every command, and only a scan needs it
+    import logging
+
+    logging.getLogger(__name__).debug(
+        "scan round r=%d: %d segment-segment, %d arc-segment, %d arc-arc candidate pairs; "
+        "%d arc-arc pairs to the scalar kernel",
+        r, int(ss.sum()), len(arcs), len(first), calls,
+    )
     return best
 
 
@@ -614,7 +680,9 @@ def _min_self_distance(s: SmoothKnot) -> float:
     pieces = s.pieces
     n = len(pieces)
     m = n // 2  # sticks
-    lo, hi = _piece_boxes(pieces)
+    arrays = _piece_arrays(pieces)
+    lo, hi = _piece_boxes(*arrays)
+    arrays = tuple(x.astype(float) for x in arrays)
     extent = int((hi.max(axis=0) - lo.min(axis=0)).max())
     r = 2
     while True:
@@ -626,7 +694,7 @@ def _min_self_distance(s: SmoothKnot) -> float:
         # stick); apart is the stick gap between two pieces, either way round
         apart = np.minimum((j - 1) // 2 - i // 2, (i - 1) // 2 + m - j // 2)
         far = apart > 1
-        best = _scan_pairs(pieces, i[far], j[far])
+        best = _scan_pairs(pieces, arrays, i[far], j[far], r)
         if best <= r or r >= extent:
             return best
         # every pair within the best distance found is a candidate next round

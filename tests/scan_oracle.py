@@ -1,8 +1,11 @@
 """Brute-force thickness scan: every non-adjacent piece pair, no cell hash.
 
-A reference for the cell-hash scan in knotfold.rope.  It shares the
-exact distance kernels but none of the pair selection: adjacency is
-decided stick by stick, and every non-adjacent pair is a candidate.
+A reference for the cell-hash scan in knotfold.rope.  It shares none of
+the pair selection: adjacency is decided stick by stick, and every
+non-adjacent pair is a candidate.  It measures arc-segment pairs one at a
+time with the scalar kernel below, the reference for the scan's batched
+`_arc_seg_batch`, and shares the other exact kernels with the scan:
+`_seg_seg_batch`, the point-to-arc distance and `_arc_arc_dist`.
 """
 
 import math
@@ -14,10 +17,83 @@ from knotfold.rope import (
     ArcPiece,
     StraightPiece,
     _arc_arc_dist,
-    _arc_seg_dist,
-    _point_seg_dist3,
+    _in_cone,
+    _point_arc_dist,
     _seg_seg_batch,
 )
+
+
+def _point_seg_dist3(px, py, pz, ax, ay, az, bx, by, bz):
+    abx, aby, abz = bx - ax, by - ay, bz - az
+    denom = abx * abx + aby * aby + abz * abz
+    if denom == 0.0:
+        dx, dy, dz = px - ax, py - ay, pz - az
+        return math.sqrt(dx * dx + dy * dy + dz * dz)
+    t = ((px - ax) * abx + (py - ay) * aby + (pz - az) * abz) / denom
+    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+    dx = px - (ax + t * abx)
+    dy = py - (ay + t * aby)
+    dz = pz - (az + t * abz)
+    return math.sqrt(dx * dx + dy * dy + dz * dz)
+
+
+def _arc_seg_dist(arc: ArcPiece, a, b) -> float:
+    """Exact min distance from a quarter arc to an axis-parallel segment.
+
+    Split by the segment direction: along the arc-plane normal the nearest
+    segment point is the one at the arc's level, so the point-to-arc
+    formula applies; in-plane directions reduce to 2D circle vs segment,
+    where the minimum is at one of finitely many critical candidates
+    (endpoints, poles, crossings).
+    """
+    n_axis = next(i for i in range(3) if arc.u[i] == 0 and arc.v[i] == 0)
+    d = tuple(b[i] - a[i] for i in range(3))
+    if all(x == 0 for x in d) or d[n_axis] != 0:
+        # along the normal (or a point): the segment point nearest the arc
+        # has its normal coordinate clamped to the arc's level
+        lo, hi = sorted((a[n_axis], b[n_axis]))
+        p = list(a)
+        p[n_axis] = min(max(arc.center[n_axis], lo), hi)
+        return _point_arc_dist(p, arc)
+    cands = [
+        _point_arc_dist(a, arc),
+        _point_arc_dist(b, arc),
+        _point_seg_dist3(*arc.start, *a, *b),
+        _point_seg_dist3(*arc.end, *a, *b),
+    ]
+    # poles: circle points whose radial direction is perpendicular to the
+    # segment; a candidate when inside the quarter and over the segment
+    h = float(a[n_axis]) - float(arc.center[n_axis])
+    seg_axis = next(i for i in range(3) if d[i] != 0)
+    perp_axis = next(i for i in range(3) if i != n_axis and i != seg_axis)
+    for sgn in (1, -1):
+        f = [0, 0, 0]
+        f[perp_axis] = sgn
+        fu = sum(f[i] * arc.u[i] for i in range(3))
+        fv = sum(f[i] * arc.v[i] for i in range(3))
+        if not _in_cone(fu, fv):
+            continue
+        pole = tuple(arc.center[i] + f[i] for i in range(3))
+        lo, hi = sorted((a[seg_axis], b[seg_axis]))
+        if lo <= pole[seg_axis] <= hi:
+            cands.append(math.hypot(pole[perp_axis] - a[perp_axis], h))
+    # crossings: the segment passes over or under the arc
+    k = float(a[perp_axis]) - float(arc.center[perp_axis])
+    if abs(k) <= 1.0:
+        off = math.sqrt(max(1.0 - k * k, 0.0))
+        for sgn in (1, -1):
+            w = [0.0, 0.0, 0.0]
+            w[perp_axis] = k
+            w[seg_axis] = sgn * off
+            wu = sum(w[i] * arc.u[i] for i in range(3))
+            wv = sum(w[i] * arc.v[i] for i in range(3))
+            if not _in_cone(wu, wv):
+                continue
+            x = arc.center[seg_axis] + w[seg_axis]
+            lo, hi = sorted((a[seg_axis], b[seg_axis]))
+            if lo <= x <= hi:
+                cands.append(abs(h))
+    return min(cands)
 
 
 def piece_sticks(index: int, n_sticks: int) -> tuple[int, ...]:

@@ -2,7 +2,9 @@
 decide the thickness certificate, so each one is checked under random
 axis-aligned configurations of the kind the pipeline produces (integer
 centers, unit axis frames, axis-parallel segments), and the arc-arc kernel
-also under every perpendicular frame pair at unit offsets."""
+also under every perpendicular frame pair at unit offsets.  The batched
+arc-segment kernel and arc-arc screen are checked against their scalar
+references."""
 
 import itertools
 import math
@@ -12,20 +14,26 @@ import numpy as np
 import pytest
 
 from knotfold.rope import (
+    _QUARTER,
     ArcPiece,
     _arc_arc_dist,
-    _arc_seg_dist,
+    _arc_arc_screen,
+    _arc_seg_batch,
     _point_arc_dist,
     _pmul,
     _seg_seg_batch,
     _unit_roots,
 )
+from scan_oracle import _arc_seg_dist
 
 AXES = [
     (1, 0, 0), (-1, 0, 0),
     (0, 1, 0), (0, -1, 0),
     (0, 0, 1), (0, 0, -1),
 ]
+
+
+FRAMES = [(u, v) for u in AXES for v in AXES if sum(x * y for x, y in zip(u, v)) == 0]
 
 
 def random_arc(rng):
@@ -139,6 +147,73 @@ def test_arc_seg_flat_valley_terminates():
     assert _arc_seg_dist(arc, a2, b2) == pytest.approx(math.sqrt(1 + 4), abs=1e-12)
 
 
+def assert_arc_seg_batch_is_scalar(arcs, segs):
+    want = np.array([_arc_seg_dist(arc, a, b) for arc, (a, b) in zip(arcs, segs)])
+    rows = [np.array([getattr(arc, f) for arc in arcs], float) for f in ("center", "u", "v")]
+    ends = [np.array([seg[k] for seg in segs], float) for k in (0, 1)]
+    got = _arc_seg_batch(*rows, *ends)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()  # bit for bit
+
+
+def test_arc_seg_batch_is_the_scalar_kernel():
+    # the flat valleys of test_arc_seg_flat_valley_terminates, then every arc
+    # frame against segments along every axis, from every start in [-2, 2]^3
+    # around the center, of every signed length -3..3
+    valley = ArcPiece(center=(0, 0, 0), u=(1, 0, 0), v=(0, 1, 0))
+    arcs = [valley, valley]
+    segs = [((2, 0, -3), (2, 0, 3)), ((0, 0, 2), (0, 0, 5))]
+    for u, v in FRAMES:
+        arc = ArcPiece(center=(0, 0, 0), u=u, v=v)
+        for a in itertools.product(range(-2, 3), repeat=3):
+            for axis, length in itertools.product(range(3), range(-3, 4)):
+                b = list(a)
+                b[axis] += length
+                arcs.append(arc)
+                segs.append((a, tuple(b)))
+    assert len(arcs) == 2 + 24 * 125 * 3 * 7
+    assert_arc_seg_batch_is_scalar(arcs, segs)
+
+
+def test_arc_seg_batch_is_the_scalar_kernel_farther_out():
+    # at offsets of tens, np.hypot already parts from math.hypot (first at
+    # (27, 17)); the batched kernel must not
+    rng = random.Random(29)
+    arcs, segs = [], []
+    for _ in range(20000):
+        u, v = rng.choice(FRAMES)
+        arcs.append(ArcPiece(center=tuple(rng.randint(-40, 40) for _ in range(3)), u=u, v=v))
+        a = tuple(rng.randint(-40, 40) for _ in range(3))
+        b = list(a)
+        b[rng.randrange(3)] += rng.randint(-60, 60)
+        segs.append((a, tuple(b)))
+    assert_arc_seg_batch_is_scalar(arcs, segs)
+
+
+def test_arc_arc_screen_is_within_its_margin():
+    # the batched screen's rho is sqrt(wu^2 + wv^2), not math.hypot; at the
+    # distances the screen can rule out (at least pi/16) its sampled minimum
+    # is within 1e-15 * (d + 16) of the scalar one, a thousandth of the
+    # margin `_scan_pairs` allows
+    rng = random.Random(23)
+    arcs1, arcs2 = [], []
+    for _ in range(3000):
+        (u1, v1), (u2, v2) = rng.choice(FRAMES), rng.choice(FRAMES)
+        scale = rng.choice((3, 100, 10**4, 10**8))
+        arcs1.append(ArcPiece(center=(0, 0, 0), u=u1, v=v1))
+        arcs2.append(ArcPiece(center=tuple(rng.randint(-scale, scale) for _ in range(3)), u=u2, v=v2))
+    rows = [
+        np.array([getattr(arc, f) for arc in arcs], float)
+        for arcs in (arcs1, arcs2)
+        for f in ("center", "u", "v")
+    ]
+    got = _arc_arc_screen(*rows)
+    for d, a1, a2 in zip(got.tolist(), arcs1, arcs2):
+        points = [a2.start, *(a2.point(k * _QUARTER / 4) for k in (1, 2, 3)), a2.end]
+        want = min(_point_arc_dist(p, a1) for p in points)
+        if want >= _QUARTER / 8:
+            assert abs(d - want) <= 1e-15 * (want + 16), (a1, a2)
+
+
 def test_adversarial_product_valley_is_exact():
     # arcs meeting each other's axes: a product-form valley in the two
     # angles, at distance exactly 1
@@ -155,9 +230,6 @@ def test_unit_roots_repeated_and_at_the_ends():
         p = _pmul(p, factor)
     assert sorted(_unit_roots(p)) == pytest.approx([0.25, 0.5, 0.875, 1.0], abs=1e-15)
     assert _unit_roots([3]) == [] and _unit_roots([1, 1]) == []
-
-
-FRAMES = [(u, v) for u in AXES for v in AXES if sum(x * y for x, y in zip(u, v)) == 0]
 
 
 def plane_normal(u, v):

@@ -1,12 +1,16 @@
 """The cell-hash thickness scan against the brute-force all-pairs oracle.
 
-Both share the exact distance kernels, so the minimum must agree to the
-last bit (==), not within a tolerance.
+The oracle measures arc-segment pairs with the scalar kernel that the
+scan's batched one reproduces operation for operation, and shares the
+other kernels with the scan, so the minimum must agree to the last bit
+(==), not within a tolerance.
 """
 
 import itertools
+import logging
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +19,16 @@ from knotfold.errors import KnotfoldError
 from knotfold.grid import random_grid
 from knotfold.lattice import LatticeKnot, canonicalize
 from knotfold.pipeline import run_pipeline
-from knotfold.rope import ArcPiece, _near_pairs, _piece_boxes, rope_metrics, smooth
+from knotfold import rope
+from knotfold.rope import (
+    ArcPiece,
+    _near_pairs,
+    _piece_arrays,
+    _piece_boxes,
+    _scan_pairs,
+    rope_metrics,
+    smooth,
+)
 from scan_oracle import min_self_distance_oracle
 
 
@@ -44,7 +57,7 @@ def test_near_pairs_are_exactly_the_boxes_within_r(r):
 
 def test_piece_boxes_hold_their_pieces(corpus_pipelines):
     s = smooth(corpus_pipelines[-1][1].stages[3].knot)
-    lo, hi = _piece_boxes(s.pieces)
+    lo, hi = _piece_boxes(*_piece_arrays(s.pieces))
     for p, a, b in zip(s.pieces, lo, hi):
         if isinstance(p, ArcPiece):
             points = [p.point(k * math.pi / 16) for k in range(9)]
@@ -82,12 +95,63 @@ def test_random_g48(seed):
         assert_matches_oracle(res.stages[step].knot, (48, seed, step))
 
 
+def test_chunk_size_does_not_change_the_minimum(corpus_pipelines, monkeypatch):
+    knots = [res.stages[step].knot for _, res in corpus_pipelines for step in (1, 2, 3)]
+    for g in range(2, 21):
+        res = run_pipeline(random_grid(g, 0))
+        knots += [res.stages[step].knot for step in (1, 2, 3)]
+    smoothed = [smooth(k) for k in knots]
+    want = [rope_metrics(s).min_doubled_self_distance for s in smoothed]
+    monkeypatch.setattr(rope, "_CHUNK", 7)
+    assert [rope_metrics(s).min_doubled_self_distance for s in smoothed] == want
+
+
+def scan_peak(g):
+    """tracemalloc peak of the first scan round on step 3 of random_grid(g, 1), and its pair count."""
+    pieces = smooth(run_pipeline(random_grid(g, 1)).stages[3].knot).pieces
+    arrays = _piece_arrays(pieces)
+    i, j = _near_pairs(*_piece_boxes(*arrays), 2)
+    m = len(pieces) // 2
+    far = np.minimum((j - 1) // 2 - i // 2, (i - 1) // 2 + m - j // 2) > 1
+    arrays = tuple(x.astype(float) for x in arrays)
+    tracemalloc.start()
+    try:
+        _scan_pairs(pieces, arrays, i[far], j[far], 2)
+        return tracemalloc.get_traced_memory()[1], int(far.sum())
+    finally:
+        tracemalloc.stop()
+
+
+def test_scan_memory_does_not_grow_with_pairs():
+    # the kernels run on chunks of pairs, so from g=256 to g=512 the pairs
+    # triple but the scan's peak stays well under twice as large; measuring
+    # every pair at once (a chunk as large as the pair count) more than triples it
+    peak256, pairs256 = scan_peak(256)
+    peak512, pairs512 = scan_peak(512)
+    assert pairs512 > 2.5 * pairs256
+    assert peak512 < 2 * peak256
+
+
 @pytest.mark.parametrize("w,h", [(10, 3), (3, 10), (40, 25), (2, 2), (5, 1)])
 def test_rectangle_grows_radius(w, h):
     # only opposite straights are non-adjacent, 2*min(w, h) apart once doubled,
     # so for min(w, h) > 1 no candidate lies within the starting radius
     rect = LatticeKnot(((0, 0, 0), (w, 0, 0), (w, h, 0), (0, h, 0)))
     assert assert_matches_oracle(rect, (w, h)) == 2.0 * min(w, h)
+
+
+def test_one_debug_record_per_round(caplog):
+    # the rectangle's only non-adjacent pairs are its opposite straights,
+    # 6 and 20 apart once doubled, so r grows from 2 to 8
+    caplog.set_level(logging.DEBUG, logger="knotfold.rope")
+    rect = LatticeKnot(((0, 0, 0), (10, 0, 0), (10, 3, 0), (0, 3, 0)))
+    rope_metrics(smooth(rect))
+    tail = "arc-segment, 0 arc-arc candidate pairs; 0 arc-arc pairs to the scalar kernel"
+    assert [rec.getMessage() for rec in caplog.records if rec.name == "knotfold.rope"] == [
+        f"scan round r=2: 0 segment-segment, 0 {tail}",
+        f"scan round r=4: 0 segment-segment, 0 {tail}",
+        f"scan round r=8: 1 segment-segment, 0 {tail}",
+    ]
 
 
 def test_hexagon_through_three_planes():
