@@ -16,9 +16,10 @@ The matrix entries are plain ``{exponent: coefficient}`` dicts of ints,
 which the elimination updates in place; a `LaurentPoly` is made only for
 the determinant that comes back.
 
-Lattice knots are turned into diagrams by an integer shear projection so
-that sticks parallel to the viewing axis become short slanted segments
-instead of points.
+Self-avoiding lattice knots are turned into diagrams by one integer
+shear projection, (x, y, z) -> (S*x + z, S*y + 2*z), under which z-sticks
+become short slanted segments instead of points and only x-sticks cross
+y-sticks, so the crossings are found and ordered by integer comparisons.
 """
 
 from __future__ import annotations
@@ -26,22 +27,25 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .diagram import CrossingPass, PlanarDiagram, build_diagram, cross2
+from .diagram import CrossingPass, PlanarDiagram, build_diagram
 from .errors import MultiComponent, NoRegularShear
-from .lattice import LatticeKnot, canonicalize
+from .lattice import LatticeKnot, canonicalize, validate_lattice
 from .laurent import LaurentPoly
 from .rope import _near_pairs
 
-SHEAR_CANDIDATES = ((1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2))
+# the shear `project` uses, as a tuple of candidates of one
+SHEAR_CANDIDATES = ((1, 2),)
 
 
 @dataclass(frozen=True)
 class ProjectionDiagram(PlanarDiagram):
-    """Planar diagram obtained from a sheared z-projection of a lattice knot."""
+    """Planar diagram of a sheared z-projection of a lattice knot.
+
+    `shear` is (a, b) and `scale` is S in (x, y, z) -> (S*x + a*z, S*y + b*z).
+    """
 
     shear: tuple[int, int] = (0, 0)
     scale: int = 1
@@ -51,130 +55,69 @@ class ProjectionDiagram(PlanarDiagram):
 # projection
 
 
-def _seg_relation(p1, q1, p2, q2):
-    """Classify how two integer segments meet: 'none', 'proper', or 'bad'.
-
-    'proper' means transversal interior-interior crossing; every touching,
-    endpoint-on-segment, or collinear-overlap configuration is 'bad'
-    (irregular for our purposes).
-    """
-    d1 = (q1[0] - p1[0], q1[1] - p1[1])
-    d2 = (q2[0] - p2[0], q2[1] - p2[1])
-    s_p2 = cross2(d1, (p2[0] - p1[0], p2[1] - p1[1]))
-    s_q2 = cross2(d1, (q2[0] - p1[0], q2[1] - p1[1]))
-    s_p1 = cross2(d2, (p1[0] - p2[0], p1[1] - p2[1]))
-    s_q1 = cross2(d2, (q1[0] - p2[0], q1[1] - p2[1]))
-    if s_p2 == 0 and s_q2 == 0:
-        # collinear: any 1D overlap is irregular
-        axis = 0 if d1[0] != 0 else 1
-        lo1, hi1 = sorted((p1[axis], q1[axis]))
-        lo2, hi2 = sorted((p2[axis], q2[axis]))
-        return "bad" if max(lo1, lo2) <= min(hi1, hi2) else "none"
-    if s_p2 < 0 < s_q2 or s_q2 < 0 < s_p2:
-        if s_p1 < 0 < s_q1 or s_q1 < 0 < s_p1:
-            return "proper"
-    if 0 in (s_p2, s_q2, s_p1, s_q1):
-        # an endpoint lies on the other segment's line; irregular when it
-        # also falls inside that segment's extent
-        for zero, pt, sa, sb in (
-            (s_p2, p2, p1, q1),
-            (s_q2, q2, p1, q1),
-            (s_p1, p1, p2, q2),
-            (s_q1, q1, p2, q2),
-        ):
-            if zero == 0:
-                if min(sa[0], sb[0]) <= pt[0] <= max(sa[0], sb[0]) and min(
-                    sa[1], sb[1]
-                ) <= pt[1] <= max(sa[1], sb[1]):
-                    return "bad"
-    return "none"
-
-
-def _crossing_params(p1, q1, p2, q2) -> tuple[Fraction, Fraction]:
-    d1 = (q1[0] - p1[0], q1[1] - p1[1])
-    d2 = (q2[0] - p2[0], q2[1] - p2[1])
-    denom = cross2(d1, d2)
-    w = (p2[0] - p1[0], p2[1] - p1[1])
-    t = Fraction(cross2(w, d2), denom)
-    s = Fraction(cross2(w, d1), denom)
-    return t, s
-
-
 def project(k: LatticeKnot) -> ProjectionDiagram:
-    """Regular planar diagram of a lattice knot via an integer shear.
+    """Regular planar diagram of a self-avoiding lattice knot by an integer shear.
 
-    Points map to (S*x + a*z, S*y + b*z) for small coprime (a, b) and a
-    scale S large enough that segments from different lattice lines cannot
-    collide; candidates are tried in a fixed order and the first shear
-    giving a regular projection wins.
+    Points map to (S*x + a*z, S*y + b*z) with (a, b) = (1, 2) and
+    S = 7 * (diam + 2), where diam is the knot's largest extent along an
+    axis.  Since |a*dz| and |b*dz| stay below S, two projected sticks meet
+    only where their lattice lines meet in 3D.  On a self-avoiding polygon
+    z-sticks and pairs along one axis therefore never cross, and an x-stick
+    crosses a y-stick exactly when each one's open projected interval holds
+    the other's fixed projected coordinate; the two lie on different
+    z-levels, and the higher one is over.  A crossing is keyed (i, j) by
+    its sticks, i < j, and the crossings along a stick are ordered by their
+    distance from its projected start.
+
+    Raises:
+        NoRegularShear: if the knot is not a self-avoiding lattice polygon.
     """
     k = canonicalize(k)
-    corners = k.corners
-    n = len(corners)
-    spans = [
-        max(c[i] for c in corners) - min(c[i] for c in corners) for i in range(3)
-    ]
-    diam = max(max(spans), 1)
-    for a, b in SHEAR_CANDIDATES:
-        scale = (a * a + b * b + 2) * (diam + 2)
-        pts2 = [(scale * x + a * z, scale * y + b * z) for x, y, z in corners]
-        zs = [c[2] for c in corners]
-        segs = [(pts2[i], pts2[(i + 1) % n]) for i in range(n)]
-        # only segments whose boxes touch can meet; pairs in (i, j) order
-        ends = np.array(segs)
-        lo = np.zeros((n, 3), dtype=np.int64)
-        hi = np.zeros((n, 3), dtype=np.int64)
-        lo[:, :2] = ends.min(axis=1)
-        hi[:, :2] = ends.max(axis=1)
-        first, second = _near_pairs(lo, hi, 0)
-        order = np.lexsort((second, first))
-        regular = True
-        events: dict[int, list] = {i: [] for i in range(n)}
-        for i, j in zip(first[order].tolist(), second[order].tolist()):
-            if j == i + 1 or (i == 0 and j == n - 1):
-                continue  # adjacent
-            rel = _seg_relation(*segs[i], *segs[j])
-            if rel == "bad":
-                regular = False
-                break
-            if rel != "proper":
-                continue
-            t, s = _crossing_params(*segs[i], *segs[j])
-            zi = Fraction(zs[i]) + t * (zs[(i + 1) % n] - zs[i])
-            zj = Fraction(zs[j]) + s * (zs[(j + 1) % n] - zs[j])
-            if zi == zj:
-                regular = False  # would be a 3D self-intersection
-                break
-            key = (i, j)
-            i_over = zi > zj
-            events[i].append((t, key, i_over, j))
-            events[j].append((s, key, not i_over, i))
-        if not regular:
-            continue
-        passes: list[CrossingPass] = []
-        for i in range(n):
-            di = (
-                segs[i][1][0] - segs[i][0][0],
-                segs[i][1][1] - segs[i][0][1],
-            )
-            for t, key, is_over, j in sorted(events[i], key=lambda e: e[0]):
-                dj = (
-                    segs[j][1][0] - segs[j][0][0],
-                    segs[j][1][1] - segs[j][0][1],
-                )
-                over_dir = di if is_over else dj
-                under_dir = dj if is_over else di
-                passes.append(CrossingPass(key, is_over, over_dir, under_dir))
-        pd = build_diagram(passes)
-        return ProjectionDiagram(
-            crossings=pd.crossings,
-            n_edges=pd.n_edges,
-            components=1,
-            shear=(a, b),
-            scale=scale,
-        )
-    raise NoRegularShear(
-        f"no candidate shear in {SHEAR_CANDIDATES} projects this knot regularly"
+    report = validate_lattice(k)
+    if not report.ok:
+        raise NoRegularShear(f"the curve meets itself: {report}")
+    corners = np.array(k.corners, dtype=np.int64)
+    diam = max(int((corners.max(axis=0) - corners.min(axis=0)).max()), 1)
+    [(a, b)] = SHEAR_CANDIDATES
+    scale = 7 * (diam + 2)  # a^2 + b^2 + 2 = 7
+    start = scale * corners[:, :2] + corners[:, 2:] * (a, b)
+    step = np.roll(start, -1, axis=0) - start
+    # the x- and y-sticks and their projected boxes; a box is flat across its stick
+    flat = np.flatnonzero(np.roll(corners[:, 2], -1) == corners[:, 2])
+    lo = np.zeros((len(flat), 3), dtype=np.int64)
+    hi = np.zeros_like(lo)
+    lo[:, :2] = np.minimum(start[flat], start[flat] + step[flat])
+    hi[:, :2] = np.maximum(start[flat], start[flat] + step[flat])
+    p, q = _near_pairs(lo, hi, 0)
+    # open intervals holding each other's fixed coordinate; this also drops
+    # the pairs along one axis and the neighbours, which share an end
+    cross = ((lo[p, :2] < hi[q, :2]) & (lo[q, :2] < hi[p, :2])).all(axis=1)
+    p, q = p[cross], q[cross]
+    i, j = flat[p], flat[q]
+    # the one point two crossing boxes share, and its distance along each stick
+    meet = np.maximum(lo[p, :2], lo[q, :2])
+    stick = np.concatenate([i, j])
+    dist = np.abs(np.concatenate([meet, meet]) - start[stick]).sum(axis=1)
+    m = len(i)
+    pairs = list(zip(i.tolist(), j.tolist()))
+    zs = corners[:, 2].tolist()
+    dirs = [tuple(d) for d in step.tolist()]
+    passes = []
+    for e in np.lexsort((dist, stick)).tolist():
+        # event e < m is crossing e seen from its stick i, e >= m from its stick j
+        key = pairs[e % m]
+        s, other = key if e < m else key[::-1]
+        is_over = zs[s] > zs[other]
+        mine, theirs = dirs[s], dirs[other]
+        over_dir, under_dir = (mine, theirs) if is_over else (theirs, mine)
+        passes.append(CrossingPass(key, is_over, over_dir, under_dir))
+    pd = build_diagram(passes)
+    return ProjectionDiagram(
+        crossings=pd.crossings,
+        n_edges=pd.n_edges,
+        components=1,
+        shear=(a, b),
+        scale=scale,
     )
 
 

@@ -58,7 +58,7 @@ class BadDensity(KnotfoldError):
 
 
 class NoRegularShear(KnotfoldError):
-    """No candidate shear produced a regular projection (indicates a bug)."""
+    """No candidate shear produced a regular projection: the curve meets itself."""
 
 
 @dataclass(frozen=True)

@@ -22,10 +22,9 @@ scan repeats, until at the knot's own extent every pair is a candidate.
 
 The pieces become arrays once per scan, and the candidate pairs are
 measured in chunks of fixed size.  Straight-straight and arc-straight
-pairs go through exact batched kernels.  Arcs in perpendicular planes
-first pass a batched five-sample screen; only the pairs it cannot rule
-out, and every pair of arcs in parallel planes, reach the scalar arc-arc
-kernel.
+pairs go through exact batched kernels.  Arc-arc pairs first pass a
+batched five-sample screen; only the pairs it cannot rule out reach the
+scalar arc-arc kernel.
 """
 
 from __future__ import annotations
@@ -598,12 +597,13 @@ def _scan_pairs(pieces, arrays, i: np.ndarray, j: np.ndarray, r: int) -> float:
 
     `arrays` is `_piece_arrays` in float64.  Segment-segment and
     arc-segment pairs go through the exact batched kernels.  Arc-arc pairs
-    go through the scalar `_arc_arc_dist` in order of the lower bound
-    |c1 - c2| - 2, against the running minimum.  First, though, the batched
-    screen drops each perpendicular pair that `_arc_arc_dist`'s own screen
-    would settle from its samples against the minimum over the pairs with
-    a straight.  So the scalar kernel sees the parallel pairs and the
-    perpendicular pairs that come close.
+    first pass the batched five-sample screen: the distance from a point of
+    one arc to the other is 1-Lipschitz in the angle, for arcs in parallel
+    or perpendicular planes alike, so a pair whose sampled distance stays
+    pi/16 above the minimum over the pairs with a straight is dropped.
+    The pairs that come close go through the scalar `_arc_arc_dist` (the
+    closed form for parallel planes) in order of the lower bound
+    |c1 - c2| - 2, against the running minimum.
     """
     center, u, v, start, end = arrays
     arc, seg = (center, u, v), (start, end)
@@ -621,20 +621,13 @@ def _scan_pairs(pieces, arrays, i: np.ndarray, j: np.ndarray, r: int) -> float:
 
     aa = kind == 0
     first, second = i[aa], j[aa]
-    normal = np.argmin(np.abs(u) + np.abs(v), axis=1)
-    perp = np.flatnonzero(normal[first // 2] != normal[second // 2])
     # np.sqrt and math.hypot may part in the last bit of rho, which moves a
     # sampled distance d >= pi/16 (the only ones the rule can drop) by less
     # than 1e-15 * (d + 16); the screen keeps a thousandfold margin on that,
-    # so it never drops a pair that the scalar screen would keep with a
-    # running minimum no larger than best
-    ruled = [
-        d - _QUARTER / 8 - 1e-12 * (d + 16.0) >= best - _TOL
-        for d in _per_chunk(_arc_arc_screen, first[perp] // 2, second[perp] // 2, arc, arc)
-    ]
-    keep = np.ones(len(first), dtype=bool)
-    if ruled:
-        keep[perp[np.concatenate(ruled)]] = False
+    # so a pair it drops is no closer than best - _TOL, as with the lower
+    # bound below
+    sampled = np.concatenate([np.zeros(0), *_per_chunk(_arc_arc_screen, first // 2, second // 2, arc, arc)])
+    keep = sampled - _QUARTER / 8 - 1e-12 * (sampled + 16.0) < best - _TOL
     arc_arc_cands = sorted(
         (math.dist(pieces[a].center, pieces[b].center) - 2.0, a, b)
         for a, b in zip(first[keep].tolist(), second[keep].tolist())

@@ -3,28 +3,81 @@
 A reference for knotfold.alexander.  The unit-pivot elimination rescans
 every row before each pivot, the dense core's determinant comes from
 fraction-free Bareiss elimination with exact polynomial division, and
-the projection tests every pair of non-adjacent segments.  It shares with
-the engine only the segment predicates (`_seg_relation`, `_crossing_params`)
-and `LaurentPoly`, the type of the determinant the engine returns and
-normalizes.  It shares none of the elimination arithmetic: the engine
-eliminates on plain coefficient dicts and takes the core determinant
-modulo primes, where this oracle eliminates in `LaurentPoly` and runs
-Bareiss on its own integer coefficient lists.  Nor does it share the
-pivot queue or the pair prefilter.
+the projection tries six shears in turn and tests every pair of
+non-adjacent segments with general-position predicates on Fractions.
+It shares with the engine only `LaurentPoly`, the type of the
+determinant the engine returns and normalizes, and the diagram types
+and `build_diagram`, which assembles crossing passes into a diagram.
+It shares none of the elimination arithmetic: the engine eliminates on
+plain coefficient dicts and takes the core determinant modulo primes,
+where this oracle eliminates in `LaurentPoly` and runs Bareiss on its
+own integer coefficient lists.  Nor does it share the pivot queue, the
+pair prefilter or the crossing test: the engine projects with one shear
+and integer comparisons.
 """
 
 from fractions import Fraction
 
-from knotfold.alexander import (
-    SHEAR_CANDIDATES,
-    ProjectionDiagram,
-    _crossing_params,
-    _seg_relation,
-)
+from knotfold.alexander import ProjectionDiagram
 from knotfold.diagram import CrossingPass, build_diagram
 from knotfold.errors import NoRegularShear
 from knotfold.lattice import LatticeKnot, canonicalize
 from knotfold.laurent import LaurentPoly
+
+SHEAR_CANDIDATES = ((1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2))
+
+
+def cross2(a: tuple[int, int], b: tuple[int, int]) -> int:
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def _seg_relation(p1, q1, p2, q2):
+    """Classify how two integer segments meet: 'none', 'proper', or 'bad'.
+
+    'proper' means transversal interior-interior crossing; every touching,
+    endpoint-on-segment, or collinear-overlap configuration is 'bad'
+    (irregular for our purposes).
+    """
+    d1 = (q1[0] - p1[0], q1[1] - p1[1])
+    d2 = (q2[0] - p2[0], q2[1] - p2[1])
+    s_p2 = cross2(d1, (p2[0] - p1[0], p2[1] - p1[1]))
+    s_q2 = cross2(d1, (q2[0] - p1[0], q2[1] - p1[1]))
+    s_p1 = cross2(d2, (p1[0] - p2[0], p1[1] - p2[1]))
+    s_q1 = cross2(d2, (q1[0] - p2[0], q1[1] - p2[1]))
+    if s_p2 == 0 and s_q2 == 0:
+        # collinear: any 1D overlap is irregular
+        axis = 0 if d1[0] != 0 else 1
+        lo1, hi1 = sorted((p1[axis], q1[axis]))
+        lo2, hi2 = sorted((p2[axis], q2[axis]))
+        return "bad" if max(lo1, lo2) <= min(hi1, hi2) else "none"
+    if s_p2 < 0 < s_q2 or s_q2 < 0 < s_p2:
+        if s_p1 < 0 < s_q1 or s_q1 < 0 < s_p1:
+            return "proper"
+    if 0 in (s_p2, s_q2, s_p1, s_q1):
+        # an endpoint lies on the other segment's line; irregular when it
+        # also falls inside that segment's extent
+        for zero, pt, sa, sb in (
+            (s_p2, p2, p1, q1),
+            (s_q2, q2, p1, q1),
+            (s_p1, p1, p2, q2),
+            (s_q1, q1, p2, q2),
+        ):
+            if zero == 0:
+                if min(sa[0], sb[0]) <= pt[0] <= max(sa[0], sb[0]) and min(
+                    sa[1], sb[1]
+                ) <= pt[1] <= max(sa[1], sb[1]):
+                    return "bad"
+    return "none"
+
+
+def _crossing_params(p1, q1, p2, q2) -> tuple[Fraction, Fraction]:
+    d1 = (q1[0] - p1[0], q1[1] - p1[1])
+    d2 = (q2[0] - p2[0], q2[1] - p2[1])
+    denom = cross2(d1, d2)
+    w = (p2[0] - p1[0], p2[1] - p1[1])
+    t = Fraction(cross2(w, d2), denom)
+    s = Fraction(cross2(w, d1), denom)
+    return t, s
 
 
 def project_oracle(k: LatticeKnot) -> ProjectionDiagram:

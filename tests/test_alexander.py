@@ -2,14 +2,15 @@ import importlib
 import itertools
 import logging
 import math
+import re
 
 import pytest
 
 from conway_oracle import alexander_via_conway, torus_alexander
 from knotfold.alexander import _primes, alexander, project, same_knot_certificate
-from knotfold.errors import MultiComponent
+from knotfold.errors import MultiComponent, NoRegularShear
 from knotfold.grid import grid_to_planar, parse_grid, random_grid
-from knotfold.lattice import settle
+from knotfold.lattice import LatticeKnot, settle
 from knotfold.laurent import LaurentPoly, parse_poly
 from knotfold.pipeline import run_pipeline
 
@@ -117,8 +118,15 @@ class TestProject:
     def test_projection_carries_shear(self):
         k = settle(parse_grid("X: 1,2,3,4,5\nO: 3,4,5,1,2\n"))
         pd = project(k)
-        assert pd.shear in ((1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2))
-        assert pd.scale > 1
+        diam = max(max(c[i] for c in k.corners) - min(c[i] for c in k.corners) for i in range(3))
+        assert pd.shear == (1, 2)
+        assert pd.scale == 7 * (diam + 2)
+
+    def test_self_intersecting_knot_is_refused(self):
+        # the x-stick at y = 0 and the y-stick at x = 1 share (1, 0, 0)
+        k = LatticeKnot(((0, 0, 0), (2, 0, 0), (2, 1, 0), (1, 1, 0), (1, -1, 0), (0, -1, 0)))
+        with pytest.raises(NoRegularShear, match=re.escape("lattice point (1, 0, 0) visited twice")):
+            project(k)
 
     def test_preservation_across_stages(self, corpus_pipelines):
         for entry, res in corpus_pipelines:

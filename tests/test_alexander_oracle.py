@@ -2,8 +2,8 @@
 
 The pivot queue must leave the same dense core as the full rescan, the
 modular core determinant must equal Bareiss up to sign (and a Leibniz
-expansion exactly), and the prefiltered projection must equal the
-all-pairs one, shear and crossing keys included.
+expansion exactly), and the projection by integer stick crossings must
+equal the six-shear all-pairs one, shear and crossing keys included.
 """
 
 import itertools
@@ -32,7 +32,7 @@ from knotfold.alexander import (
 )
 from knotfold.errors import KnotfoldError, NoRegularShear
 from knotfold.grid import grid_to_planar, random_grid
-from knotfold.lattice import LatticeKnot, canonicalize
+from knotfold.lattice import LatticeKnot, canonicalize, validate_lattice
 from knotfold.laurent import LaurentPoly
 from knotfold.pipeline import run_pipeline
 
@@ -173,6 +173,37 @@ def test_projection_of_touching_polygons():
         assert got == projection_or_refusal(project_oracle, knot), knot.corners
         refused += got == "no regular shear"
     assert refused > 20
+
+
+def end_column_pairs(knot):
+    """(x-stick, y-stick) pairs on different z-levels where the y-stick's
+    column is an end of the x-stick and its span holds the x-stick's y: in
+    3D the y-stick passes over or under the x-stick's end corner, and the
+    shear decides whether the projections cross."""
+    corners = knot.corners
+    sticks = list(zip(corners, corners[1:] + corners[:1]))
+    xs = [(p, q) for p, q in sticks if p[0] != q[0]]
+    ys = [(p, q) for p, q in sticks if p[1] != q[1]]
+    return sum(
+        yp[0] in (xp[0], xq[0]) and yp[2] != xp[2] and min(yp[1], yq[1]) <= xp[1] <= max(yp[1], yq[1])
+        for xp, xq in xs
+        for yp, yq in ys
+    )
+
+
+def test_projection_of_valid_polygons():
+    # self-avoiding polygons of short sticks, among them many where a
+    # y-stick passes over or under an x-stick's end on another z-level
+    rng = random.Random(11)
+    valid = end_columns = 0
+    while valid < 300:
+        knot = random_lattice_polygon(rng, 4 + valid % 14)
+        if not validate_lattice(knot).ok:
+            continue
+        valid += 1
+        end_columns += end_column_pairs(knot)
+        assert project(knot) == project_oracle(knot), knot.corners
+    assert end_columns > 50
 
 
 # ---------------------------------------------------------------------------

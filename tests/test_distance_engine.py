@@ -153,6 +153,7 @@ def assert_arc_seg_batch_is_scalar(arcs, segs):
     ends = [np.array([seg[k] for seg in segs], float) for k in (0, 1)]
     got = _arc_seg_batch(*rows, *ends)
     assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()  # bit for bit
+    return got
 
 
 def test_arc_seg_batch_is_the_scalar_kernel():
@@ -187,6 +188,28 @@ def test_arc_seg_batch_is_the_scalar_kernel_farther_out():
         b[rng.randrange(3)] += rng.randint(-60, 60)
         segs.append((a, tuple(b)))
     assert_arc_seg_batch_is_scalar(arcs, segs)
+
+
+def test_arc_seg_in_plane_through_an_arc_end_is_exactly_zero():
+    # an in-plane segment through an arc end touches the arc there.  The
+    # endpoint candidates alone miss 0 by rounding: the foot of u on
+    # (-14, 0, 0) -> (8, 0, 0) comes out 1.78e-15 away from it.  The pole
+    # and crossing candidates land on the end exactly.
+    arcs, segs = [], []
+    for u, v in FRAMES:
+        arc = ArcPiece(center=(0, 0, 0), u=u, v=v)
+        for end, axis in itertools.product((u, v), range(3)):
+            if u[axis] == v[axis] == 0:
+                continue  # the plane's normal
+            for length in range(1, 31):
+                for before in range(length + 1):
+                    a, b = list(end), list(end)
+                    a[axis] -= before
+                    b[axis] += length - before
+                    arcs += [arc, arc]
+                    segs += [(tuple(a), tuple(b)), (tuple(b), tuple(a))]
+    assert len(arcs) == 24 * 2 * 2 * 495 * 2
+    assert not assert_arc_seg_batch_is_scalar(arcs, segs).any()
 
 
 def test_arc_arc_screen_is_within_its_margin():
