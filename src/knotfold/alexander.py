@@ -19,7 +19,8 @@ the determinant that comes back.
 Self-avoiding lattice knots are turned into diagrams by one integer
 shear projection, (x, y, z) -> (S*x + z, S*y + 2*z), under which z-sticks
 become short slanted segments instead of points and only x-sticks cross
-y-sticks, so the crossings are found and ordered by integer comparisons.
+y-sticks.  The crossings are found by the same orthogonal-segment sweep
+that tests self-avoidance in `lattice`, and ordered by integer comparisons.
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ import numpy as np
 
 from .diagram import CrossingPass, PlanarDiagram, build_diagram
 from .errors import MultiComponent, NoRegularShear
-from .lattice import LatticeKnot, canonicalize, validate_lattice
+from .lattice import LatticeKnot, _orthogonal_hits, canonicalize, validate_lattice
 from .laurent import LaurentPoly
-from .rope import _near_pairs
 
 # the shear `project` uses, as a tuple of candidates of one
 SHEAR_CANDIDATES = ((1, 2),)
@@ -65,9 +65,11 @@ def project(k: LatticeKnot) -> ProjectionDiagram:
     z-sticks and pairs along one axis therefore never cross, and an x-stick
     crosses a y-stick exactly when each one's open projected interval holds
     the other's fixed projected coordinate; the two lie on different
-    z-levels, and the higher one is over.  A crossing is keyed (i, j) by
-    its sticks, i < j, and the crossings along a stick are ordered by their
-    distance from its projected start.
+    z-levels, and the higher one is over.  Those crossings come from
+    `_orthogonal_hits`, the sweep that also tests self-avoidance, run once
+    over the projected plane.  A crossing is keyed (i, j) by its sticks,
+    i < j, and the crossings along a stick are ordered by their distance
+    from its projected start.
 
     Raises:
         NoRegularShear: if the knot is not a self-avoiding lattice polygon.
@@ -76,41 +78,35 @@ def project(k: LatticeKnot) -> ProjectionDiagram:
     report = validate_lattice(k)
     if not report.ok:
         raise NoRegularShear(f"the curve meets itself: {report}")
-    corners = np.array(k.corners, dtype=np.int64)
-    diam = max(int((corners.max(axis=0) - corners.min(axis=0)).max()), 1)
+    corners = k.corners
+    diam = max(1, *(max(axis) - min(axis) for axis in zip(*corners)))
     [(a, b)] = SHEAR_CANDIDATES
     scale = 7 * (diam + 2)  # a^2 + b^2 + 2 = 7
-    start = scale * corners[:, :2] + corners[:, 2:] * (a, b)
-    step = np.roll(start, -1, axis=0) - start
-    # the x- and y-sticks and their projected boxes; a box is flat across its stick
-    flat = np.flatnonzero(np.roll(corners[:, 2], -1) == corners[:, 2])
-    lo = np.zeros((len(flat), 3), dtype=np.int64)
-    hi = np.zeros_like(lo)
-    lo[:, :2] = np.minimum(start[flat], start[flat] + step[flat])
-    hi[:, :2] = np.maximum(start[flat], start[flat] + step[flat])
-    p, q = _near_pairs(lo, hi, 0)
-    # open intervals holding each other's fixed coordinate; this also drops
-    # the pairs along one axis and the neighbours, which share an end
-    cross = ((lo[p, :2] < hi[q, :2]) & (lo[q, :2] < hi[p, :2])).all(axis=1)
-    p, q = p[cross], q[cross]
-    i, j = flat[p], flat[q]
-    # the one point two crossing boxes share, and its distance along each stick
-    meet = np.maximum(lo[p, :2], lo[q, :2])
-    stick = np.concatenate([i, j])
-    dist = np.abs(np.concatenate([meet, meet]) - start[stick]).sum(axis=1)
-    m = len(i)
-    pairs = list(zip(i.tolist(), j.tolist()))
-    zs = corners[:, 2].tolist()
-    dirs = [tuple(d) for d in step.tolist()]
+    start = [(scale * x + a * z, scale * y + b * z) for x, y, z in corners]
+    dirs = [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(start, start[1:] + start[:1])]
+    # x-sticks as (0, Y, X interval) and y-sticks as (0, X, Y interval), each
+    # open interval (A, B) given as [A + 1, B - 1]; z-sticks never cross
+    along_x, along_y = [], []
+    for i, ((x, y), (dx, dy)) in enumerate(zip(start, dirs)):
+        if not dy:
+            along_x.append((0, y, min(x, x + dx) + 1, max(x, x + dx) - 1, i))
+        elif not dx:
+            along_y.append((0, x, min(y, y + dy) + 1, max(y, y + dy) - 1, i))
+    # each crossing seen from both sticks, as (stick, distance from its
+    # projected start, key, other stick)
+    events = []
+    for i, j, _, x, y in _orthogonal_hits(along_x, along_y):
+        key = (i, j) if i < j else (j, i)
+        events.append((i, abs(x - start[i][0]), key, j))
+        events.append((j, abs(y - start[j][1]), key, i))
+    events.sort()
     passes = []
-    for e in np.lexsort((dist, stick)).tolist():
-        # event e < m is crossing e seen from its stick i, e >= m from its stick j
-        key = pairs[e % m]
-        s, other = key if e < m else key[::-1]
-        is_over = zs[s] > zs[other]
+    for s, _, key, other in events:
+        is_over = corners[s][2] > corners[other][2]
         mine, theirs = dirs[s], dirs[other]
         over_dir, under_dir = (mine, theirs) if is_over else (theirs, mine)
         passes.append(CrossingPass(key, is_over, over_dir, under_dir))
+    del events  # free the events before build_diagram, which sets the peak
     pd = build_diagram(passes)
     return ProjectionDiagram(
         crossings=pd.crossings,

@@ -53,7 +53,12 @@ def _parse_random_spec(text: str) -> tuple[int, int, int]:
     fields = {}
     for part in text.split(","):
         key, _, value = part.partition("=")
-        fields[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in ("g", "seed", "count"):
+            raise argparse.ArgumentTypeError(f"unknown key {key!r}: use g, seed and count")
+        if key in fields:
+            raise argparse.ArgumentTypeError(f"key {key!r} given twice")
+        fields[key] = value.strip()
     try:
         g = int(fields["g"])
         seed = int(fields.get("seed", "0"))

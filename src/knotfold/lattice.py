@@ -19,8 +19,9 @@ from corner i to one step before corner i + 1, and the curve is
 self-avoiding exactly when those covered sets are pairwise disjoint.
 Collinear overlaps are found by sorting each line's intervals and
 perpendicular hits by a plane sweep, so a self-avoiding curve of n sticks
-passes in O(n log n), whatever the sticks' lengths.  No floating point
-appears anywhere in this module.
+passes in O(n log n), whatever the sticks' lengths.  The same sweep finds
+the crossings of a knot's projection for `alexander.project`.  No
+floating point appears anywhere in this module.
 """
 
 from __future__ import annotations
@@ -64,10 +65,6 @@ class EdgeCensus:
     @property
     def total_edges(self) -> int:
         return self.x_edges + self.y_edges + self.z_edges
-
-    @property
-    def total_sticks(self) -> int:
-        return self.x_sticks + self.y_sticks + self.z_sticks
 
 
 @dataclass(frozen=True)
@@ -159,6 +156,44 @@ def _unit_dir(p, q):
     return None
 
 
+def _orthogonal_hits(along_a, along_b):
+    """Yield (i, j, plane, pos, w) for each pair of perpendicular segments that meet.
+
+    Segment i along the first axis is (plane, w, lo, hi, i), at second
+    coordinate w; segment j along the second axis is (plane, pos, lo, hi, j),
+    at first coordinate pos.  Intervals are closed, so the two meet at
+    (pos, w) when they share a plane, i spans pos and j spans w; an open
+    integer interval (A, B) is the closed one [A + 1, B - 1].  One sweep
+    along the first axis per plane that holds both kinds: first-axis
+    segments enter at their low end and leave after their high end, and
+    each second-axis segment asks for those inside whose w it spans (the
+    orthogonal-segment case of Bentley and Ottmann, IEEE Trans. Comput.
+    C-28, 1979).  O(n log n) in the number of segments, plus O(1) per pair.
+    """
+    planes = {s[0] for s in along_a} & {s[0] for s in along_b}
+    # insert < query < remove at one position, since the intervals are closed
+    events = [(plane, lo, 0, w, i) for plane, w, lo, _, i in along_a if plane in planes]
+    events += [(plane, hi, 2, w, i) for plane, w, _, hi, i in along_a if plane in planes]
+    events += [(plane, pos, 1, lo, hi, j) for plane, pos, lo, hi, j in along_b if plane in planes]
+    events.sort()
+    # (w, index) of the first-axis segments the sweep is inside, sorted;
+    # it is empty again at the end of each plane
+    active: list[tuple[int, int]] = []
+    for event in events:
+        kind = event[2]
+        if kind == 0:
+            insort(active, event[3:])
+        elif kind == 2:
+            del active[bisect_left(active, event[3:])]
+        else:
+            plane, pos, _, lo, hi, j = event
+            t = bisect_left(active, (lo,))
+            while t < len(active) and active[t][0] <= hi:
+                w, i = active[t]
+                yield i, j, plane, pos, w
+                t += 1
+
+
 def _meetings(sticks):
     """Yield (i, j, lo, hi) for every pair of sticks i < j whose covered sets meet.
 
@@ -166,13 +201,9 @@ def _meetings(sticks):
     start corner to one step before its end corner, a closed integer
     interval along its axis; lo and hi are the least and greatest points
     the pair has in common.  Collinear pairs come from sorting each line's
-    intervals by their low ends.  Perpendicular pairs come from one sweep
-    per pair of axes, in each plane of the third axis that holds sticks of
-    both: sticks along the swept axis are inserted at their low end and
-    removed after their high end, and each stick along the other axis asks
-    for the inserted sticks whose fixed coordinate it spans (the
-    orthogonal-segment case of Bentley and Ottmann, IEEE Trans. Comput.
-    C-28, 1979).  Without meetings this takes O(n log n) in the number of
+    intervals by their low ends.  Perpendicular pairs come from
+    `_orthogonal_hits`, once per pair of axes with the third axis as the
+    plane.  Without meetings this takes O(n log n) in the number of
     sticks; each meeting pair adds O(1).
     """
     by_axis: list[list[tuple[tuple, int, int, int]]] = [[], [], []]
@@ -198,30 +229,12 @@ def _meetings(sticks):
             reach.append((hi, i))
     for a, b in ((0, 1), (0, 2), (1, 2)):
         c = 3 - a - b
-        planes = {s[0][c] for s in by_axis[a]} & {s[0][c] for s in by_axis[b]}
-        # insert < query < remove at one position, since the intervals are closed
-        events = [(p[c], lo, 0, p[b], i) for p, lo, _, i in by_axis[a] if p[c] in planes]
-        events += [(p[c], hi, 2, p[b], i) for p, _, hi, i in by_axis[a] if p[c] in planes]
-        events += [(p[c], p[a], 1, lo, hi, j) for p, lo, hi, j in by_axis[b] if p[c] in planes]
-        events.sort()
-        # (b-coordinate, index) of the a-sticks the sweep is inside, sorted;
-        # it is empty again at the end of each plane
-        active: list[tuple[int, int]] = []
-        for event in events:
-            kind = event[2]
-            if kind == 0:
-                insort(active, event[3:])
-            elif kind == 2:
-                del active[bisect_left(active, event[3:])]
-            else:
-                plane, pos, _, lo, hi, j = event
-                t = bisect_left(active, (lo,))
-                while t < len(active) and active[t][0] <= hi:
-                    w, i = active[t]
-                    meet = [0, 0, 0]
-                    meet[a], meet[b], meet[c] = pos, w, plane
-                    yield min(i, j), max(i, j), tuple(meet), tuple(meet)
-                    t += 1
+        along_a = [(p[c], p[b], lo, hi, i) for p, lo, hi, i in by_axis[a]]
+        along_b = [(p[c], p[a], lo, hi, j) for p, lo, hi, j in by_axis[b]]
+        for i, j, plane, pos, w in _orthogonal_hits(along_a, along_b):
+            meet = [0, 0, 0]
+            meet[a], meet[b], meet[c] = pos, w, plane
+            yield min(i, j), max(i, j), tuple(meet), tuple(meet)
 
 
 def validate_lattice(k: LatticeKnot) -> ValidationReport:

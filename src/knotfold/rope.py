@@ -545,6 +545,8 @@ def _piece_boxes(center, u, v, start, end) -> tuple[np.ndarray, np.ndarray]:
 def _near_pairs(lo: np.ndarray, hi: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs i < j whose boxes are at most r apart along every axis.
 
+    Only the thickness scan uses it, on the pieces' boxes.
+
     Every box, grown by r/2 on each side, is filed under each hash cell it
     meets; two boxes at most r apart along every axis then share a cell.
     Cells have side 4, or r when r is larger, so a grown box meets at

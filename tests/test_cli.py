@@ -305,3 +305,13 @@ def test_unknown_corpus_name_exit_2(tmp_path, capsys):
     code, _, stderr = run(capsys, "build", "--corpus", "nope", "--out", str(tmp_path / "o"))
     assert code == 2
     assert "no corpus entry" in stderr
+
+
+@pytest.mark.parametrize("spec", ["g=5,coutn=3", "g=5,g=7", "g=5,seed=1,seed=2", "g=5,", "x"])
+def test_bad_random_spec_usage_error(tmp_path, capsys, spec):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "--random", spec, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --random" in capsys.readouterr().err
+    assert not out.exists()

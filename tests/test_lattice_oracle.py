@@ -3,7 +3,9 @@
 validate_lattice tests self-avoidance on the covered intervals of sticks;
 the oracle expands the curve into unit points.  Their reports must agree
 exactly: ``ok``, the codes, and every message, including the point a
-SelfIntersection names.
+SelfIntersection names.  The orthogonal-segment sweep under both the
+stick test and the projection's crossings is also compared with a loop
+over all pairs.
 """
 
 import tracemalloc
@@ -13,7 +15,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from knotfold.grid import random_grid
-from knotfold.lattice import LatticeKnot, validate_lattice
+from knotfold.lattice import LatticeKnot, _orthogonal_hits, validate_lattice
 from knotfold.pipeline import run_pipeline
 from lattice_oracle import validate_lattice as validate_lattice_oracle
 
@@ -109,3 +111,40 @@ def test_many_overlaps_in_bounded_memory():
         tracemalloc.stop()
     assert peak < 2**20
     assert_reports_match(k)
+
+
+def segments(planes):
+    """Lists of closed segments (plane, fixed coordinate, lo, hi) with lo <= hi."""
+    return st.lists(
+        st.tuples(
+            st.sampled_from(planes),
+            st.integers(-2, 4),
+            st.integers(-2, 4),
+            st.integers(0, 3),
+        ).map(lambda s: (s[0], s[1], s[2], s[2] + s[3])),
+        max_size=12,
+    )
+
+
+@settings(max_examples=500, deadline=None)
+# planes 0 and 3 hold segments of one kind only
+@given(segments([0, 1, 2]), segments([1, 2, 3]))
+# they meet only at their ends: the first-axis segment ends at pos 3 and
+# the second-axis one starts at w 2
+@example([(1, 2, 0, 3)], [(1, 3, 2, 5)])
+# one-point segments on one point, and one beside it in another plane
+@example([(1, 1, 1, 1), (2, 1, 1, 1)], [(1, 1, 1, 1)])
+# several segments on one coordinate, overlapping and end to end
+@example([(1, 2, 0, 2), (1, 2, 2, 4), (1, 2, 1, 3)], [(1, 2, 0, 2), (1, 2, 2, 4)])
+# a plane with only first-axis segments and one with only second-axis ones
+@example([(0, 0, 0, 4)], [(3, 0, 0, 4)])
+def test_orthogonal_hits_are_all_pairs_that_meet(a_segs, b_segs):
+    along_a = [(*s, i) for i, s in enumerate(a_segs)]
+    along_b = [(*s, j) for j, s in enumerate(b_segs)]
+    want = [
+        (i, j, plane, pos, w)
+        for plane, w, a_lo, a_hi, i in along_a
+        for b_plane, pos, b_lo, b_hi, j in along_b
+        if plane == b_plane and a_lo <= pos <= a_hi and b_lo <= w <= b_hi
+    ]
+    assert sorted(_orthogonal_hits(along_a, along_b)) == sorted(want)
