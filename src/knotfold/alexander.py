@@ -26,13 +26,14 @@ that tests self-avoidance in `lattice`, and ordered by integer comparisons.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diagram import CrossingPass, PlanarDiagram, build_diagram
-from .errors import MultiComponent, NoRegularShear
+from .diagram import PlanarDiagram, build_diagram
+from .errors import NoRegularShear
 from .lattice import LatticeKnot, _orthogonal_hits, canonicalize, validate_lattice
 from .laurent import LaurentPoly
 
@@ -67,9 +68,9 @@ def project(k: LatticeKnot) -> ProjectionDiagram:
     the other's fixed projected coordinate; the two lie on different
     z-levels, and the higher one is over.  Those crossings come from
     `_orthogonal_hits`, the sweep that also tests self-avoidance, run once
-    over the projected plane.  A crossing is keyed (i, j) by its sticks,
-    i < j, and the crossings along a stick are ordered by their distance
-    from its projected start.
+    over the projected plane.  A crossing is keyed (i, j) by its x-stick and
+    its y-stick, and the crossings along a stick are ordered by their
+    distance from its projected start.
 
     Raises:
         NoRegularShear: if the knot is not a self-avoiding lattice polygon.
@@ -93,28 +94,19 @@ def project(k: LatticeKnot) -> ProjectionDiagram:
         elif not dx:
             along_y.append((0, x, min(y, y + dy) + 1, max(y, y + dy) - 1, i))
     # each crossing seen from both sticks, as (stick, distance from its
-    # projected start, key, other stick)
+    # projected start, key, is_over, sign); the x-stick (dx, 0) over the
+    # y-stick (0, dy) gives sign sgn(dx * dy), and under gives its negative
     events = []
     for i, j, _, x, y in _orthogonal_hits(along_x, along_y):
-        key = (i, j) if i < j else (j, i)
-        events.append((i, abs(x - start[i][0]), key, j))
-        events.append((j, abs(y - start[j][1]), key, i))
+        key = (i, j)
+        x_over = corners[i][2] > corners[j][2]
+        sign = 1 if ((dirs[i][0] > 0) == (dirs[j][1] > 0)) == x_over else -1
+        events.append((i, abs(x - start[i][0]), key, x_over, sign))
+        events.append((j, abs(y - start[j][1]), key, not x_over, sign))
     events.sort()
-    passes = []
-    for s, _, key, other in events:
-        is_over = corners[s][2] > corners[other][2]
-        mine, theirs = dirs[s], dirs[other]
-        over_dir, under_dir = (mine, theirs) if is_over else (theirs, mine)
-        passes.append(CrossingPass(key, is_over, over_dir, under_dir))
+    code = [(key, is_over, sign) for _, _, key, is_over, sign in events]
     del events  # free the events before build_diagram, which sets the peak
-    pd = build_diagram(passes)
-    return ProjectionDiagram(
-        crossings=pd.crossings,
-        n_edges=pd.n_edges,
-        components=1,
-        shear=(a, b),
-        scale=scale,
-    )
+    return ProjectionDiagram(build_diagram(code).crossings, shear=(a, b), scale=scale)
 
 
 # ---------------------------------------------------------------------------
@@ -427,19 +419,26 @@ def _det_up_to_units(rows: dict[int, dict[int, dict[int, int]]]) -> LaurentPoly:
 
 
 def _wirtinger_rows(pd: PlanarDiagram) -> dict[int, dict[int, dict[int, int]]]:
-    """Abelianized Wirtinger relations, the last crossing's row and last arc's column dropped.
+    """Abelianized Wirtinger relations, the last crossing's row and arc 0's column dropped.
 
-    Each row maps an arc to its entry, a fresh ``{exponent: coefficient}``
-    dict with no zero coefficient; arcs whose contributions cancel are left
-    out.
+    Each under pass ends one arc and starts the next, so the edge entering
+    pass p lies on arc k mod n, where k counts the under passes before p;
+    arc 0 is the one through the start of the traversal.  Each row maps an
+    arc to its entry, a fresh ``{exponent: coefficient}`` dict with no zero
+    coefficient; arcs whose contributions cancel are left out.
     """
-    arc_of_edge, n_arcs = pd.wirtinger_arcs()
+    n = len(pd.crossings)
+    if n == 0:
+        return {}
+    arc_at = [0] * (2 * n)
+    for crossing in pd.crossings:
+        arc_at[crossing.under_in] = 1
+    arc_at = list(itertools.accumulate(arc_at, initial=0))
     rows: dict[int, dict[int, dict[int, int]]] = {}
-    drop_arc = n_arcs - 1
     for idx, crossing in enumerate(pd.crossings[:-1]):
-        o = arc_of_edge[crossing.over_in]
-        a = arc_of_edge[crossing.under_in]
-        b = arc_of_edge[crossing.under_out]
+        o = arc_at[crossing.over_in] % n
+        a = arc_at[crossing.under_in]
+        b = (a + 1) % n
         if crossing.sign > 0:
             # 1 - t, t, -1
             contrib = ((o, 0, 1), (o, 1, -1), (a, 1, 1), (b, 0, -1))
@@ -448,7 +447,7 @@ def _wirtinger_rows(pd: PlanarDiagram) -> dict[int, dict[int, dict[int, int]]]:
             contrib = ((o, 1, 1), (o, 0, -1), (a, 0, 1), (b, 1, -1))
         row: dict[int, dict[int, int]] = {}
         for arc, e, v in contrib:
-            if arc != drop_arc:
+            if arc:
                 entry = row.setdefault(arc, {})
                 v += entry.get(e, 0)
                 if v:
@@ -463,13 +462,10 @@ def alexander(pd: PlanarDiagram) -> LaurentPoly:
     """Normalized Alexander polynomial of a one-component diagram.
 
     Raises:
-        MultiComponent: if the diagram has more than one component.
         ArithmeticError: if internal self-tests fail (singular matrix,
             asymmetric result, or |value at t=1| != 1), which indicates a
             malformed diagram rather than bad input data.
     """
-    if pd.components != 1:
-        raise MultiComponent(f"diagram has {pd.components} components")
     if pd.crossing_count == 0:
         return LaurentPoly.one()
     det = _det_up_to_units(_wirtinger_rows(pd))

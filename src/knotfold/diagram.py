@@ -1,9 +1,10 @@
-"""Combinatorial crossing diagrams of knots.
+"""Combinatorial crossing diagrams of knots: signed Gauss codes.
 
-A diagram is assembled from the cyclic sequence of crossing passes made
-while traversing the knot once.  Edges are the diagram segments between
-consecutive passes; every crossing stores its four incident edges by role
-(under/over, in/out).
+A diagram is read from its signed Gauss code, the cyclic sequence of
+crossing passes made while traversing the knot once, each pass a
+``(key, is_over, sign)`` triple.  Crossings are numbered by first pass.
+Edge p enters pass p and edge p + 1 (mod 2n) leaves it, so a crossing
+stores only the positions of its under and over passes and its sign.
 """
 
 from __future__ import annotations
@@ -13,31 +14,12 @@ from dataclasses import dataclass
 from .errors import MultiComponent
 
 
-def cross2(a: tuple[int, int], b: tuple[int, int]) -> int:
-    return a[0] * b[1] - a[1] * b[0]
-
-
-@dataclass(frozen=True)
-class CrossingPass:
-    """One pass of the traversal through a crossing.
-
-    over_dir / under_dir are the 2D travel directions of the respective
-    strands at this crossing (shared by both passes of the crossing).
-    """
-
-    key: object
-    is_over: bool
-    over_dir: tuple[int, int]
-    under_dir: tuple[int, int]
-
-
 @dataclass(frozen=True)
 class Crossing:
-    key: object
+    """A crossing by the code positions of its under and over passes, and its sign."""
+
     under_in: int
-    under_out: int
     over_in: int
-    over_out: int
     sign: int
 
 
@@ -47,67 +29,33 @@ class PlanarDiagram:
     producer's responsibility."""
 
     crossings: tuple[Crossing, ...]
-    n_edges: int
-    components: int = 1
 
     @property
     def crossing_count(self) -> int:
         return len(self.crossings)
 
-    def wirtinger_arcs(self) -> tuple[list[int], int]:
-        """Label every edge with its overpass arc.
 
-        Arcs are the maximal runs of edges not separated by an underpass;
-        returns (arc id per edge, arc count).  Arc ids are 0-based and the
-        arc containing edge 0 may wrap around the traversal start.
-        """
-        n = len(self.crossings)
-        if n == 0:
-            return [], 0
-        under_positions = sorted(c.under_in for c in self.crossings)
-        # edge e runs from pass e to pass e+1; a new arc starts after each
-        # under pass, i.e. edges are split at boundaries under_out = p+1.
-        arc_of_edge = [0] * self.n_edges
-        starts = sorted((p + 1) % self.n_edges for p in under_positions)
-        for arc_id in range(len(starts)):
-            lo = starts[arc_id]
-            hi = starts[(arc_id + 1) % len(starts)]
-            e = lo
-            while True:
-                arc_of_edge[e] = arc_id
-                e = (e + 1) % self.n_edges
-                if e == hi:
-                    break
-        return arc_of_edge, len(starts)
+def build_diagram(code: list[tuple[object, bool, int]]) -> PlanarDiagram:
+    """Assemble a PlanarDiagram from the signed Gauss code of a single closed curve.
 
+    Each crossing's sign is taken from its first pass.
 
-def build_diagram(passes: list[CrossingPass]) -> PlanarDiagram:
-    """Assemble a PlanarDiagram from traversal passes of a single closed curve."""
-    by_key: dict[object, dict[bool, int]] = {}
-    for pos, ev in enumerate(passes):
-        slot = by_key.setdefault(ev.key, {})
-        if ev.is_over in slot:
-            raise MultiComponent(f"crossing {ev.key!r} passed twice with the same role")
-        slot[ev.is_over] = pos
-    crossings = []
-    n_edges = len(passes)
-    for key, slot in sorted(by_key.items(), key=lambda kv: str(kv[0])):
-        if set(slot) != {True, False}:
+    Raises:
+        MultiComponent: if a key is passed twice in one role, or only once.
+    """
+    index: dict[object, int] = {}
+    at: tuple[list, list] = ([], [])  # under and over pass positions by crossing
+    signs = []
+    for pos, (key, is_over, sign) in enumerate(code):
+        i = index.setdefault(key, len(signs))
+        if i == len(signs):
+            signs.append(sign)
+            at[0].append(None)
+            at[1].append(None)
+        if at[is_over][i] is not None:
+            raise MultiComponent(f"crossing {key!r} passed twice with the same role")
+        at[is_over][i] = pos
+    for key, i in index.items():
+        if at[0][i] is None or at[1][i] is None:
             raise MultiComponent(f"crossing {key!r} missing an over or under pass")
-        q, p = slot[True], slot[False]
-        ev = passes[p]
-        u, v = ev.under_dir, ev.over_dir
-        sign = 1 if cross2(v, u) > 0 else -1
-        under_in, under_out = p, (p + 1) % n_edges
-        over_in, over_out = q, (q + 1) % n_edges
-        crossings.append(
-            Crossing(
-                key=key,
-                under_in=under_in,
-                under_out=under_out,
-                over_in=over_in,
-                over_out=over_out,
-                sign=sign,
-            )
-        )
-    return PlanarDiagram(crossings=tuple(crossings), n_edges=n_edges)
+    return PlanarDiagram(tuple(map(Crossing, at[0], at[1], signs)))

@@ -13,7 +13,7 @@ import random
 import re
 from dataclasses import dataclass
 
-from .diagram import CrossingPass, PlanarDiagram, build_diagram
+from .diagram import PlanarDiagram, build_diagram
 from .errors import (
     MalformedInput,
     MultiComponent,
@@ -60,7 +60,7 @@ def validate_grid(d: GridDiagram) -> ValidationReport:
     if ok_perms:
         ncomp = component_count(d)
         if ncomp != 1:
-            report.add("MultiComponent", f"diagram has {ncomp} components; knots need 1")
+            report.add("MultiComponent", f"diagram has {ncomp} closed curves; knots need 1")
     return report
 
 
@@ -182,9 +182,14 @@ def serialize_grid(d: GridDiagram, form: str = "lists") -> str:
 
 
 def grid_to_planar(d: GridDiagram) -> PlanarDiagram:
-    """Crossing diagram of the grid curve; vertical strands always cross over."""
+    """Crossing diagram of the grid curve; vertical strands always cross over.
+
+    The signed Gauss code starts at row 1's X marker.  The vertical strand
+    of direction (0, vy) crosses over the horizontal one of direction
+    (hx, 0), so a crossing's sign, that of the cross product of the over
+    and under directions, is -vy * hx.
+    """
     _check_or_raise(d)
-    g = d.size
     x_row = {c: r + 1 for r, c in enumerate(d.x_col)}
     o_row = {c: r + 1 for r, c in enumerate(d.o_col)}
 
@@ -199,26 +204,22 @@ def grid_to_planar(d: GridDiagram) -> PlanarDiagram:
         lo, hi = v_span(c)
         return min(a, b) < c < max(a, b) and min(lo, hi) < r < max(lo, hi)
 
-    passes: list[CrossingPass] = []
+    code: list[tuple[tuple[int, int], bool, int]] = []
     for r in d.row_order():
         a, b = h_span(r)
-        hdir = (1, 0) if b > a else (-1, 0)
-        cols = range(a + 1, b) if b > a else range(a - 1, b, -1)
-        for c in cols:
+        hx = 1 if b > a else -1
+        for c in range(a + hx, b, hx):
             if strict_cross(r, c):
                 lo, hi = v_span(c)
-                vdir = (0, 1) if hi > lo else (0, -1)
-                passes.append(CrossingPass((r, c), False, vdir, hdir))
+                code.append(((r, c), False, -hx if hi > lo else hx))
         c = b
         lo, hi = v_span(c)
-        vdir = (0, 1) if hi > lo else (0, -1)
-        rows = range(lo + 1, hi) if hi > lo else range(lo - 1, hi, -1)
-        for rr in rows:
+        vy = 1 if hi > lo else -1
+        for rr in range(lo + vy, hi, vy):
             if strict_cross(rr, c):
                 aa, bb = h_span(rr)
-                hdir2 = (1, 0) if bb > aa else (-1, 0)
-                passes.append(CrossingPass((rr, c), True, vdir, hdir2))
-    return build_diagram(passes)
+                code.append(((rr, c), True, -vy if bb > aa else vy))
+    return build_diagram(code)
 
 
 def random_grid(g: int, seed: int) -> GridDiagram:

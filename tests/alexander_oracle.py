@@ -7,7 +7,7 @@ the projection tries six shears in turn and tests every pair of
 non-adjacent segments with general-position predicates on Fractions.
 It shares with the engine only `LaurentPoly`, the type of the
 determinant the engine returns and normalizes, and the diagram types
-and `build_diagram`, which assembles crossing passes into a diagram.
+and `build_diagram`, which numbers a signed Gauss code's crossings.
 It shares none of the elimination arithmetic: the engine eliminates on
 plain coefficient dicts and takes the core determinant modulo primes,
 where this oracle eliminates in `LaurentPoly` and runs Bareiss on its
@@ -19,7 +19,7 @@ and integer comparisons.
 from fractions import Fraction
 
 from knotfold.alexander import ProjectionDiagram
-from knotfold.diagram import CrossingPass, build_diagram
+from knotfold.diagram import build_diagram
 from knotfold.errors import NoRegularShear
 from knotfold.lattice import LatticeKnot, canonicalize
 from knotfold.laurent import LaurentPoly
@@ -127,7 +127,7 @@ def project_oracle(k: LatticeKnot) -> ProjectionDiagram:
                 break
         if not regular:
             continue
-        passes: list[CrossingPass] = []
+        code = []
         for i in range(n):
             di = (
                 segs[i][1][0] - segs[i][0][0],
@@ -138,17 +138,9 @@ def project_oracle(k: LatticeKnot) -> ProjectionDiagram:
                     segs[j][1][0] - segs[j][0][0],
                     segs[j][1][1] - segs[j][0][1],
                 )
-                over_dir = di if is_over else dj
-                under_dir = dj if is_over else di
-                passes.append(CrossingPass(key, is_over, over_dir, under_dir))
-        pd = build_diagram(passes)
-        return ProjectionDiagram(
-            crossings=pd.crossings,
-            n_edges=pd.n_edges,
-            components=1,
-            shear=(a, b),
-            scale=scale,
-        )
+                over_dir, under_dir = (di, dj) if is_over else (dj, di)
+                code.append((key, is_over, 1 if cross2(over_dir, under_dir) > 0 else -1))
+        return ProjectionDiagram(build_diagram(code).crossings, shear=(a, b), scale=scale)
     raise NoRegularShear(
         f"no candidate shear in {SHEAR_CANDIDATES} projects this knot regularly"
     )

@@ -14,11 +14,11 @@ from knotfold.laurent import LaurentPoly
 
 
 def gauss_code(pd: PlanarDiagram):
-    """Single-component signed Gauss code: ((key, is_over, sign), ...)."""
-    events = [None] * pd.n_edges
-    for c in pd.crossings:
-        events[c.under_in] = (c.key, False, c.sign)
-        events[c.over_in] = (c.key, True, c.sign)
+    """Single-component signed Gauss code: ((crossing index, is_over, sign), ...)."""
+    events = [None] * (2 * len(pd.crossings))
+    for i, c in enumerate(pd.crossings):
+        events[c.under_in] = (i, False, c.sign)
+        events[c.over_in] = (i, True, c.sign)
     assert all(e is not None for e in events)
     return (tuple(events),)
 

@@ -5,9 +5,12 @@ import math
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conway_oracle import alexander_via_conway, torus_alexander
+from conway_oracle import alexander_via_conway, gauss_code, torus_alexander
 from knotfold.alexander import _primes, alexander, project, same_knot_certificate
+from knotfold.diagram import build_diagram
 from knotfold.errors import MultiComponent, NoRegularShear
 from knotfold.grid import grid_to_planar, parse_grid, random_grid
 from knotfold.lattice import LatticeKnot, settle
@@ -84,25 +87,59 @@ class TestAlexander:
             alexander(grid_to_planar(parse_grid("X: 1,2,3,4,5\nO: 3,4,5,1,2\n")))
 
     def test_dense_core_logged_at_debug(self, caplog):
-        pd = grid_to_planar(random_grid(48, 1))  # its dense core has 7 rows
+        pd = grid_to_planar(random_grid(48, 1))  # its dense core has 5 rows
         with caplog.at_level(logging.DEBUG, logger="knotfold.alexander"):
             poly = alexander(pd)
         records = [r for r in caplog.records if r.name == "knotfold.alexander"]
         assert len(records) == 1
         rows, degree, bits, primes = records[0].args
-        assert rows == 7 and degree >= rows
+        assert rows == 5 and degree >= rows
         # the engine takes primes until their product exceeds twice the
         # coefficient bound B, and the record's bits say 2^(bits-1) <= B < 2^bits
         used = list(itertools.islice(_primes(), primes))
         assert math.prod(used) > 2**bits and math.prod(used[:-1]) < 2 ** (bits + 1)
         assert alexander(pd) == poly  # logging changes nothing
 
-    def test_multicomponent_rejected(self):
-        from knotfold.diagram import PlanarDiagram
 
-        pd = PlanarDiagram(crossings=(), n_edges=0, components=2)
-        with pytest.raises(MultiComponent):
-            alexander(pd)
+
+class TestDiagram:
+    def test_refuses_a_role_passed_twice(self):
+        code = [("a", True, 1), ("b", False, 1), ("a", True, 1), ("b", True, 1)]
+        with pytest.raises(MultiComponent, match="'a' passed twice with the same role"):
+            build_diagram(code)
+
+    def test_refuses_a_crossing_passed_once(self):
+        code = [("a", True, -1), ("b", False, 1), ("a", False, -1)]
+        with pytest.raises(MultiComponent, match="'b' missing an over or under pass"):
+            build_diagram(code)
+
+
+@st.composite
+def signed_codes(draw):
+    """A signed Gauss code: every key passed once over and once under, one sign per key."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    key = st.tuples(st.integers(-9, 9), st.integers(-9, 9))
+    keys = draw(st.lists(key, min_size=n, max_size=n, unique=True))
+    positions = draw(st.permutations(range(2 * n)))
+    code = [None] * (2 * n)
+    for key, p, q in zip(keys, positions[::2], positions[1::2]):
+        over_first = draw(st.booleans())
+        sign = draw(st.sampled_from((-1, 1)))
+        code[p] = (key, over_first, sign)
+        code[q] = (key, not over_first, sign)
+    return code
+
+
+@settings(max_examples=300, deadline=None)
+@given(signed_codes())
+def test_signed_code_round_trips(code):
+    # crossings are numbered by first pass, so the code comes back with
+    # its keys relabelled by first appearance
+    first: dict = {}
+    relabelled = tuple(
+        (first.setdefault(key, len(first)), is_over, sign) for key, is_over, sign in code
+    )
+    assert gauss_code(build_diagram(code)) == (relabelled,)
 
 
 class TestProject:

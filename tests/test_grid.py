@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knotfold.diagram import build_diagram
 from knotfold.errors import (
     MalformedInput,
     NotAPermutation,
@@ -49,6 +50,45 @@ def brute_force_components(d: GridDiagram) -> int:
             unvisited.discard(("x", r))
             r = x_row[d.o_col[r - 1]]
     return cycles
+
+
+def walk_code(d: GridDiagram) -> list:
+    """Signed Gauss code by walking the grid curve one unit step at a time.
+
+    The walk starts at row 1's X marker and runs along the row to its O
+    marker, then along that column to its X marker, and so on until it is
+    back.  A point strictly inside both a row strand and a column strand
+    is a crossing, keyed (row, column), with the column strand over.  Its
+    sign is +1 when the under strand points a quarter turn counterclockwise
+    from the over strand (up over left, down over right), else -1.
+    """
+    x_row = {c: r for r, c in enumerate(d.x_col, start=1)}
+    o_row = {c: r for r, c in enumerate(d.o_col, start=1)}
+
+    def inside_row(r, c):
+        return min(d.x_col[r - 1], d.o_col[r - 1]) < c < max(d.x_col[r - 1], d.o_col[r - 1])
+
+    def inside_column(r, c):
+        return min(x_row[c], o_row[c]) < r < max(x_row[c], o_row[c])
+
+    def sign(r, c):
+        up = x_row[c] > o_row[c]  # columns run O -> X
+        left = d.o_col[r - 1] < d.x_col[r - 1]  # rows run X -> O
+        return 1 if up == left else -1
+
+    code = []
+    r, c = 1, d.x_col[0]
+    while True:
+        while c != d.o_col[r - 1]:
+            c += 1 if d.o_col[r - 1] > c else -1
+            if inside_row(r, c) and inside_column(r, c):
+                code.append(((r, c), False, sign(r, c)))
+        while r != x_row[c]:
+            r += 1 if x_row[c] > r else -1
+            if inside_row(r, c) and inside_column(r, c):
+                code.append(((r, c), True, sign(r, c)))
+        if r == 1:
+            return code
 
 
 class TestParse:
@@ -124,12 +164,11 @@ class TestPlanar:
     def test_trefoil_crossings(self):
         assert grid_to_planar(parse_grid(TREFOIL)).crossing_count == 3
 
-    def test_vertical_always_over(self):
-        # by construction crossings store the vertical pass as over; the
-        # sign data must be consistent with a single closed traversal
-        pd = grid_to_planar(parse_grid(TREFOIL))
-        assert pd.components == 1
-        assert all(c.sign in (-1, 1) for c in pd.crossings)
+    def test_unit_step_walk_gives_the_same_code(self, corpus):
+        diagrams = [entry.diagram for entry in corpus]
+        diagrams += [random_grid(g, seed) for g in range(2, 13) for seed in range(20)]
+        for d in diagrams:
+            assert build_diagram(walk_code(d)) == grid_to_planar(d), d
 
     def test_crossing_count_matches_brute_force(self):
         for g in range(2, 9):
