@@ -1,16 +1,23 @@
 """Knot-type certificates via the Alexander polynomial.
 
-The polynomial is computed from the Wirtinger presentation of a diagram:
-one relation row per crossing over the free group on the overpass arcs,
-abelianized to integer Laurent polynomials, with one row and one column
-deleted before taking the determinant.  The determinant is evaluated
-exactly: unit-monomial pivots are eliminated sparsely first (rows have at
-most three entries), taken in Markowitz order from a heap, and the
-determinant of whatever dense core remains is evaluated at enough points
-modulo enough primes, interpolated, and recombined by the Chinese
-remainder theorem, with rigorous degree and coefficient bounds.  Each
-dense core is logged at DEBUG level: its rows, degree bound, coefficient
-bound in bits and number of primes.
+The polynomial is computed from the Wirtinger presentation of a diagram,
+abelianized to integer Laurent polynomials.  An arc that carries no over
+pass appears only in the relations at its two ends, and each relation
+solves for the arc it starts with a unit pivot, so runs of under passes
+are substituted away as the rows are built: the matrix has one row and
+one column per arc that carries an over pass, and one row and one column
+are deleted before taking the determinant.  The determinant is evaluated
+exactly: unit-monomial pivots are eliminated sparsely first, taken in
+Markowitz order from a heap, and the dense core that remains has a
+determinant that is +-t^c times a polynomial symmetric in t and 1/t
+(Seifert, Math. Ann. 110, 1934).  Assignment bounds give its degree
+range [L, H], one evaluation fixes the centre c, and the symmetric part
+is interpolated in u = t + 1/t from min(c - L, H - c) + 1 points modulo
+enough primes, converted back to t, and recombined by the Chinese
+remainder theorem, with rigorous degree and coefficient bounds.  One
+point more per prime is a runtime self-test of the symmetry.  Each dense
+core is logged at DEBUG level: its rows, L, H, c, h = min(c - L, H - c),
+coefficient bound in bits and number of primes.
 
 The matrix entries are plain ``{exponent: coefficient}`` dicts of ints,
 which the elimination updates in place; a `LaurentPoly` is made only for
@@ -141,15 +148,24 @@ def _primes():
 
 
 def _inverse_mod(x: np.ndarray, q: int) -> np.ndarray:
-    """Inverses modulo the prime q elementwise, 0 for 0: x^(q-2) by squaring."""
-    out = np.ones_like(x)
-    e = q - 2
-    while e:
-        if e & 1:
-            out = out * x % q
-        x = x * x % q
-        e >>= 1
-    return out
+    """Inverses modulo the prime q of residues in [0, q) elementwise, 0 for 0.
+
+    Montgomery's batch inversion: one modular inverse of the product of the
+    nonzero residues, then two passes of products.
+    """
+    values = x.tolist()
+    prefix, p = [], 1
+    for v in values:
+        prefix.append(p)
+        if v:
+            p = p * v % q
+    inv = pow(p, -1, q)
+    out = [0] * len(values)
+    for i in range(len(values) - 1, -1, -1):
+        if values[i]:
+            out[i] = inv * prefix[i] % q
+            inv = inv * values[i] % q
+    return np.array(out, dtype=np.int64)
 
 
 def _det_mod(a: np.ndarray, q: int) -> np.ndarray:
@@ -188,18 +204,182 @@ def _det_mod(a: np.ndarray, q: int) -> np.ndarray:
     return np.where(odd, (q - det) % q, det)
 
 
+def _assignment(cost: list[list[int | None]]) -> int | None:
+    """Least total cost of a perfect matching of rows to columns of a square matrix.
+
+    None marks a missing entry, and None comes back when every perfect
+    matching uses one.  The Hungarian method with row and column
+    potentials (Kuhn, Naval Res. Logist. Q. 2, 1955), adding one row per
+    phase along a shortest augmenting path, in O(m^3) steps.  A missing
+    entry costs more than any matching of present entries can.
+    """
+    m = len(cost)
+    big = 2 * m * (max((abs(v) for row in cost for v in row if v is not None), default=0) + 1) + 1
+    a = [[big if v is None else v for v in row] for row in cost]
+    inf = float("inf")
+    u = [0] * (m + 1)  # row potentials, rows 1..m
+    v = [0] * (m + 1)  # column potentials, columns 1..m; column 0 roots each phase
+    match = [0] * (m + 1)  # the row matched to each column, 0 for none
+    way = [0] * (m + 1)  # the column before each one on the shortest path
+    for i in range(1, m + 1):
+        match[0] = i
+        j0 = 0
+        minv = [inf] * (m + 1)
+        used = [False] * (m + 1)
+        while match[j0]:
+            used[j0] = True
+            i0 = match[j0]
+            row, u0 = a[i0 - 1], u[i0]
+            delta, j1 = inf, 0
+            for j in range(1, m + 1):
+                if not used[j]:
+                    cur = row[j - 1] - u0 - v[j]
+                    if cur < minv[j]:
+                        minv[j] = cur
+                        way[j] = j0
+                    if minv[j] < delta:
+                        delta, j1 = minv[j], j
+            for j in range(m + 1):
+                if used[j]:
+                    u[match[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+        while j0:
+            j1 = way[j0]
+            match[j0] = match[j1]
+            j0 = j1
+    total = sum(a[match[j] - 1][j - 1] for j in range(1, m + 1))
+    return None if 2 * total > big else total
+
+
+def _double_centre(det_at, q: int, lo: int, hi: int) -> int | None:
+    """2c for a determinant that is +-t^c times a symmetric polynomial; None if it is 0 modulo q.
+
+    det_at maps an array of points to the determinant's values there
+    modulo the prime q, and its terms have degrees in [lo, hi].  Then
+    det(t0) / det(1/t0) = t0^(2c) with 2c in [2 lo, 2 hi], and that fixes
+    2c once t0^(2 lo) .. t0^(2 hi) are distinct, that is once the order of
+    t0 exceeds 2 (hi - lo).  The points 2, 3, ... are tried, the first
+    alone and then hi - lo + 1 more at once, each with its inverse; a
+    point where the determinant vanishes, or whose order is too small, is
+    passed over.  The determinant divided by t^lo has degree at most
+    hi - lo, so unless it is 0 modulo q it vanishes at no more than hi - lo
+    of them.
+
+    Raises:
+        ArithmeticError: if det(1/t0) is 0 or the ratio is no power t0^e
+            with 2 lo <= e <= 2 hi, so the determinant is not symmetric;
+            or if it is nonzero only at points of too small an order.
+    """
+    nonzero = False
+    for points in ([2], list(range(3, hi - lo + 4))):
+        values = det_at(np.array(points + [pow(t0, -1, q) for t0 in points])).tolist()
+        for t0, value, back in zip(points, values, values[len(points):]):
+            if not value:
+                continue
+            nonzero = True
+            powers, p = {}, pow(t0, 2 * lo, q)
+            for e in range(2 * lo, 2 * hi + 1):
+                powers.setdefault(p, e)
+                p = p * t0 % q
+            if len(powers) <= 2 * (hi - lo):
+                continue  # the order of t0 is at most 2 (hi - lo)
+            e = powers.get(value * pow(back, -1, q) % q) if back else None
+            if e is None:
+                raise ArithmeticError(
+                    f"core determinant self-test failed: det({t0}) / det(1/{t0}) is no power"
+                    f" {t0}^e with {2 * lo} <= e <= {2 * hi} modulo {q}, so it is not symmetric"
+                )
+            return e
+    if nonzero:
+        raise ArithmeticError(f"no point of order above {2 * (hi - lo)} modulo {q}")
+    return None
+
+
+def _symmetric_residues(values: np.ndarray, c: int, primes: list[int]) -> np.ndarray:
+    """Coefficients of t^0..t^h in det(t) / t^c, modulo each prime, for a det symmetric about c.
+
+    values[i, k] is the determinant at t = k + 1 modulo primes[i], for
+    k = 0..h+1.  The symmetric part det(t) / t^c is P(u), a polynomial of
+    degree at most h in u = t + 1/t.  P is interpolated in Lagrange form on
+    the nodes from t = 1..h+1, checked against the value at t = h + 2, and
+    expanded back into powers of t by Horner's rule in u.  For these small
+    t, t_i t_j < q, so the nodes are distinct modulo every prime.
+
+    Raises:
+        ArithmeticError: if the value at t = h + 2 disagrees, so that the
+            determinant is not symmetric about c.
+    """
+    qs = np.array(primes, dtype=np.int64)[:, None]
+    n = values.shape[1] - 1  # interpolation nodes
+    t = np.arange(1, n + 2, dtype=np.int64)
+    u = (t + np.array([_inverse_mod(t, q) for q in primes])) % qs
+    y = values * np.array([[pow(x, -c, q) for x in range(1, n + 2)] for q in primes]) % qs
+
+    # P = sum_i y_i / w_i * M / (u - u_i), with M = prod_j (u - u_j) and
+    # w_i = prod_{j != i} (u_i - u_j)
+    nodes = u[:, :n]
+    weights = np.ones_like(nodes)
+    master = np.zeros((len(primes), n + 1), dtype=np.int64)  # M, lowest degree first
+    master[:, 0] = 1
+    for j in range(n):
+        diff = (nodes - nodes[:, j:j + 1]) % qs
+        diff[:, j] = 1
+        weights = weights * diff % qs
+        master[:, 1:] = (master[:, :-1] - nodes[:, j:j + 1] * master[:, 1:]) % qs
+        master[:, 0] = -nodes[:, j] * master[:, 0] % qs[:, 0]
+    scaled = y[:, :n] * np.array([_inverse_mod(w, q) for w, q in zip(weights, primes)]) % qs
+    # M / (u - u_i) by synthetic division from the top, summed into P
+    quotient = np.ones_like(nodes)  # the leading coefficient of M
+    p_coef = np.empty_like(nodes)
+    p_coef[:, n - 1] = scaled.sum(axis=1) % qs[:, 0]
+    for k in range(n - 1, 0, -1):
+        quotient = (master[:, k:k + 1] + nodes * quotient) % qs
+        p_coef[:, k - 1] = (scaled * quotient % qs).sum(axis=1) % qs[:, 0]
+    extra = np.zeros(len(primes), dtype=np.int64)
+    for k in range(n - 1, -1, -1):
+        extra = (extra * u[:, n] + p_coef[:, k]) % qs[:, 0]
+    if (extra != y[:, n]).any():
+        raise ArithmeticError(
+            f"core determinant self-test failed: it is not symmetric about t^{c}"
+        )
+
+    # back to t: half[:, j] is the coefficient of t^j and of t^-j, and
+    # half[:, n] stays 0
+    half = np.zeros((len(primes), n + 1), dtype=np.int64)
+    for k in range(n - 1, -1, -1):
+        nxt = np.zeros_like(half)
+        nxt[:, 1:-1] = half[:, :-2] + half[:, 2:]
+        nxt[:, 0] = 2 * half[:, 1] + p_coef[:, k]
+        half = nxt % qs
+    return half[:, :n]
+
+
 def _core_det(dense: list[list[list[int]]]) -> list[int]:
     """Determinant of a square matrix over Z[t], lowest coefficient first.
 
-    Entries are coefficient lists.  The determinant is evaluated at the
-    points 1..D+1 modulo enough primes, interpolated modulo each prime and
-    recombined by the Chinese remainder theorem (von zur Gathen and
-    Gerhard, Modern Computer Algebra, ch. 5).  The bounds are rigorous, so
-    the result is exact.  Once each column is divided by its lowest power
-    of t, D, the sum of the row degrees or of the column degrees, whichever
-    is smaller, bounds the degree.  The product over rows, or over
-    columns, of the L2 norm of the entries' L1 norms bounds |det| on
-    |t| = 1 (Hadamard), hence every coefficient.
+    Entries are coefficient lists, and the determinant must be +-t^c times
+    a polynomial symmetric in t and 1/t with c an integer, as the
+    Alexander matrix's is.  Once each column is divided by its lowest
+    power of t, every term of the permutation expansion has a degree in
+    [L, H]: L is the least assignment of the entries' lowest degrees and H
+    the greatest of their highest (Murota, Matrices and Matroids for
+    Systems Analysis, 2000).  `_double_centre` finds c from one point, and
+    the symmetric part, det(t) / t^c, is a polynomial of degree
+    h = min(c - L, H - c) in u = t + 1/t.  The determinant is evaluated at
+    t = 1..h+2 modulo each of enough primes, `_symmetric_residues` gives the
+    t-coefficients modulo each prime, with the last point as a self-test,
+    and the Chinese remainder theorem recombines them (von zur Gathen and
+    Gerhard, Modern Computer Algebra, ch. 5).  The product over rows, or
+    over columns, of the L2 norm of the entries' L1 norms bounds |det| on
+    |t| = 1 (Hadamard), hence every coefficient, so the result is exact.
+
+    Raises:
+        ArithmeticError: if the determinant is not +-t^c times a symmetric
+            polynomial: the centre search fails, 2c is odd, or the extra
+            point disagrees.
     """
     m = len(dense)
     if m == 0:
@@ -207,34 +387,32 @@ def _core_det(dense: list[list[list[int]]]) -> list[int]:
     if not all(map(any, dense)) or not all(map(any, zip(*dense))):
         return []  # a zero row or column
     if m == 1:
-        return list(dense[0][0])
+        det = list(dense[0][0])
+        terms = [k for k, v in enumerate(det) if v]
+        if not terms:
+            return []
+        ends = terms[0] + terms[-1]
+        if ends % 2 or any(det[k] != det[ends - k] for k in terms):
+            raise ArithmeticError(f"core determinant self-test failed: {det} is not symmetric")
+        return det
     # divide each column by its lowest power of t; det gains their product
     shifts = [
         min(next(k for k, c in enumerate(e) if c) for e in col if e) for col in zip(*dense)
     ]
     dense = [[e[s:] for e, s in zip(row, shifts)] for row in dense]
-    degree = min(
-        sum(max(map(len, line)) - 1 for line in lines) for lines in (dense, zip(*dense))
-    )
+    terms = [[[k for k, v in enumerate(e) if v] for e in row] for row in dense]
+    lo = _assignment([[d[0] if d else None for d in row] for row in terms])
+    if lo is None:
+        return []  # every term of the expansion has a zero factor
+    hi = -_assignment([[-d[-1] if d else None for d in row] for row in terms])
     l1 = [[sum(map(abs, e)) for e in row] for row in dense]
     bound_sq = min(math.prod(sum(v * v for v in line) for line in lines) for lines in (l1, zip(*l1)))
-    n_pts = degree + 1
     primes, modulus = [], 1
     for q in _primes():
         if modulus * modulus > 4 * bound_sq:
             break
-        if q <= n_pts:
-            raise ArithmeticError(f"no prime left above {n_pts} evaluation points")
         primes.append(q)
         modulus *= q
-    # imported here, not with the module: `import logging` adds about 7 ms
-    # and 0.4 MB to every start-up, and only certify gets this far
-    import logging
-
-    logging.getLogger(__name__).debug(
-        "dense core: %d rows, degree bound %d, coefficient bound %d bits, %d primes",
-        m, degree, (bound_sq.bit_length() + 1) // 2, len(primes),
-    )
 
     # evaluation: the entries' coefficients times a table of powers, as
     # float64 products that stay below 2^53 and so are exact; coefficients
@@ -252,44 +430,59 @@ def _core_det(dense: list[list[list[int]]]) -> list[int]:
     for j in range(max(1, -(-top.bit_length() // bits))):
         limb = ((mag >> (j * bits)) & ((1 << bits) - 1)).astype(np.int64)
         limbs.append(np.where(neg, -limb, limb).astype(np.float64))
-    x = np.arange(1, n_pts + 1, dtype=np.int64)
-    values = np.empty((len(primes), n_pts), dtype=np.int64)
     step = max(1, _BATCH_ENTRIES // (m * m))
-    for i, q in enumerate(primes):
-        powers = np.empty((width, n_pts), dtype=np.int64)
+
+    def det_at(q: int, x: np.ndarray) -> np.ndarray:
+        powers = np.empty((width, len(x)), dtype=np.int64)
         powers[0] = 1
         for k in range(1, width):
             powers[k] = powers[k - 1] * x % q
         powers = powers.astype(np.float64)
-        for lo in range(0, n_pts, step):
+        out = np.empty(len(x), dtype=np.int64)
+        for start in range(0, len(x), step):
             for j, limb in enumerate(limbs):
-                part = (limb @ powers[:, lo:lo + step]).astype(np.int64) % q
+                part = (limb @ powers[:, start:start + step]).astype(np.int64) % q
                 mats = part if j == 0 else (mats + part * pow(2, j * bits, q)) % q
-            values[i, lo:lo + step] = _det_mod(mats.reshape(m, m, -1), q)
+            out[start:start + step] = _det_mod(mats.reshape(m, m, -1), q)
+        return out
 
-    # interpolation modulo each prime: Newton divided differences on the
-    # points 1..n_pts, computed in place (consecutive points, so the k-th
-    # pass divides by k), then the Newton form expanded into coefficients
-    pc = np.array(primes, dtype=np.int64)[:, None]
-    newton = values
-    for k in range(1, n_pts):
-        inv = np.array([[pow(k, -1, q)] for q in primes], dtype=np.int64)
-        newton[:, k:] = (newton[:, k:] - newton[:, k - 1:-1]) % pc * inv % pc
-    out = np.zeros_like(newton)
-    out[:, 0] = newton[:, -1]
-    for k in range(n_pts - 2, -1, -1):
-        out[:, 1:] = (out[:, :-1] - (k + 1) * out[:, 1:]) % pc
-        out[:, 0] = (newton[:, k] - (k + 1) * out[:, 0]) % pc[:, 0]
+    for q in primes:
+        double_c = _double_centre(lambda x, q=q: det_at(q, x), q, lo, hi)
+        if double_c is not None:
+            break
+    else:
+        return []  # 0 modulo primes whose product exceeds twice every coefficient
+    if double_c % 2:
+        raise ArithmeticError(
+            f"core determinant self-test failed: it is symmetric about {double_c}/2, not an integer"
+        )
+    c = double_c // 2
+    h = min(c - lo, hi - c)
+    if (h + 2) ** 2 >= primes[-1]:
+        raise ArithmeticError(f"no prime left above {(h + 2) ** 2} for {h + 2} points")
+    # imported here, not with the module: `import logging` adds about 7 ms
+    # and 0.4 MB to every start-up, and only certify gets this far
+    import logging
+
+    logging.getLogger(__name__).debug(
+        "dense core: %d rows, degrees %d..%d, centre %d, h %d, coefficient bound %d bits,"
+        " %d primes",
+        m, lo, hi, c, h, (bound_sq.bit_length() + 1) // 2, len(primes),
+    )
+
+    t = np.arange(1, h + 3, dtype=np.int64)
+    half = _symmetric_residues(np.array([det_at(q, t) for q in primes]), c, primes)
 
     # Chinese remainder theorem, to the residue nearest zero
     basis = [modulus // q * pow(modulus // q, -1, q) for q in primes]
-    det = []
-    for residues in out.T.tolist():
-        c = sum(r * b for r, b in zip(residues, basis)) % modulus
-        det.append(c - modulus if 2 * c > modulus else c)
+    sym = []
+    for residues in half.T.tolist():
+        v = sum(r * b for r, b in zip(residues, basis)) % modulus
+        sym.append(v - modulus if 2 * v > modulus else v)
+    det = sym[:0:-1] + sym  # degrees c - h .. c + h
     while det and det[-1] == 0:
         det.pop()
-    return [0] * sum(shifts) + det if det else []
+    return [0] * (sum(shifts) + c - h) + det if det else []
 
 
 def _dense_core(rows: dict[int, dict[int, dict[int, int]]]) -> list[list[list[int]]] | None:
@@ -404,8 +597,8 @@ def _det_up_to_units(rows: dict[int, dict[int, dict[int, int]]]) -> LaurentPoly:
     Entries are ``{exponent: coefficient}`` dicts, as in `_dense_core`,
     which consumes the rows.  Unit-monomial pivots are eliminated first
     (`_dense_core`); the determinant of the remaining dense core is
-    computed modulo primes and recombined (`_core_det`).  Determinant
-    scaling by units is not tracked since callers normalize.
+    computed from its symmetry modulo primes and recombined (`_core_det`).
+    Determinant scaling by units is not tracked since callers normalize.
     """
     dense = _dense_core(rows)
     if dense is None:
@@ -419,12 +612,24 @@ def _det_up_to_units(rows: dict[int, dict[int, dict[int, int]]]) -> LaurentPoly:
 
 
 def _wirtinger_rows(pd: PlanarDiagram) -> dict[int, dict[int, dict[int, int]]]:
-    """Abelianized Wirtinger relations, the last crossing's row and arc 0's column dropped.
+    """Abelianized Wirtinger relations, one row per arc that carries an over pass.
 
     Each under pass ends one arc and starts the next, so the edge entering
     pass p lies on arc k mod n, where k counts the under passes before p;
-    arc 0 is the one through the start of the traversal.  Each row maps an
-    arc to its entry, a fresh ``{exponent: coefficient}`` dict with no zero
+    arc 0 is the one through the start of the traversal.  The relation at
+    under pass j, from arc j to arc j + 1 under arc o_j with sign s_j, is
+    x_{j+1} = t^s_j x_j + (1 - t^s_j) x_{o_j}.  A short arc, one that
+    carries no over pass, appears in no other relation, and its pivot is
+    a unit, so substituting it changes the determinant by a unit +-t^k
+    only.  Walking the under passes from the first long arc a, a run of
+    them that ends at the next long arc b gives the row
+
+        t^P_r x_b - x_a + sum_i (t^P_{i-1} - t^P_i) x_{o_i},
+
+    the relation scaled by the running power t^P_i, P_i = -(s_1 + .. + s_i).
+    The first long arc's column and the row that closes the cycle back
+    into it are dropped.  Rows are keyed by run and map an arc to its
+    entry, a fresh ``{exponent: coefficient}`` dict with no zero
     coefficient; arcs whose contributions cancel are left out.
     """
     n = len(pd.crossings)
@@ -434,27 +639,38 @@ def _wirtinger_rows(pd: PlanarDiagram) -> dict[int, dict[int, dict[int, int]]]:
     for crossing in pd.crossings:
         arc_at[crossing.under_in] = 1
     arc_at = list(itertools.accumulate(arc_at, initial=0))
-    rows: dict[int, dict[int, dict[int, int]]] = {}
-    for idx, crossing in enumerate(pd.crossings[:-1]):
-        o = arc_at[crossing.over_in] % n
-        a = arc_at[crossing.under_in]
-        b = (a + 1) % n
-        if crossing.sign > 0:
-            # 1 - t, t, -1
-            contrib = ((o, 0, 1), (o, 1, -1), (a, 1, 1), (b, 0, -1))
+    over, sign = [0] * n, [0] * n  # by under pass
+    long = [False] * n  # by arc
+    for crossing in pd.crossings:
+        j = arc_at[crossing.under_in]
+        over[j] = o = arc_at[crossing.over_in] % n
+        sign[j] = crossing.sign
+        long[o] = True
+    first = long.index(True)
+
+    def add(arc: int, e: int, v: int) -> None:
+        entry = row.setdefault(arc, {})
+        v += entry.get(e, 0)
+        if v:
+            entry[e] = v
         else:
-            # t - 1, 1, -t: the relation row scaled by t to stay in Z[t]
-            contrib = ((o, 1, 1), (o, 0, -1), (a, 0, 1), (b, 1, -1))
-        row: dict[int, dict[int, int]] = {}
-        for arc, e, v in contrib:
-            if arc:
-                entry = row.setdefault(arc, {})
-                v += entry.get(e, 0)
-                if v:
-                    entry[e] = v
-                else:
-                    del entry[e]
-        rows[idx] = {arc: entry for arc, entry in row.items() if entry}
+            del entry[e]
+
+    rows: dict[int, dict[int, dict[int, int]]] = {}
+    row: dict[int, dict[int, int]] = {}
+    a, power = first, 0
+    for j in itertools.chain(range(first, n), range(first)):
+        add(over[j], power, 1)
+        power -= sign[j]
+        add(over[j], power, -1)
+        b = j + 1 if j + 1 < n else 0
+        if long[b] and b != first:
+            add(b, power, 1)
+            add(a, 0, -1)
+            row.pop(first, None)
+            rows[len(rows)] = {arc: entry for arc, entry in row.items() if entry}
+            row = {}
+            a, power = b, 0
     return rows
 
 
@@ -462,17 +678,20 @@ def alexander(pd: PlanarDiagram) -> LaurentPoly:
     """Normalized Alexander polynomial of a one-component diagram.
 
     Raises:
-        ArithmeticError: if internal self-tests fail (singular matrix,
-            asymmetric result, or |value at t=1| != 1), which indicates a
-            malformed diagram rather than bad input data.
+        ArithmeticError: if an internal self-test fails, which indicates a
+            malformed diagram rather than bad input data: the matrix is
+            singular; the core determinant is not +-t^c times a symmetric
+            polynomial with c an integer, as its centre search, the parity
+            of 2c or the extra evaluation point shows (`_core_det`); or
+            |value at t=1| != 1.
     """
     if pd.crossing_count == 0:
         return LaurentPoly.one()
     det = _det_up_to_units(_wirtinger_rows(pd))
     if not det:
         raise ArithmeticError("singular Alexander matrix: malformed diagram")
-    if det.span % 2 or not det.is_palindromic():
-        raise ArithmeticError(f"Alexander self-test failed: {det} is not symmetric")
+    if det.span % 2:  # `_core_det` rules this out; normalize() could not centre it
+        raise ArithmeticError(f"Alexander self-test failed: {det} cannot be centred")
     poly = det.normalize()
     if poly(1) != 1:
         raise ArithmeticError(f"Alexander self-test failed: value at t=1 is {poly(1)}")

@@ -14,12 +14,24 @@ where this oracle eliminates in `LaurentPoly` and runs Bareiss on its
 own integer coefficient lists.  Nor does it share the pivot queue, the
 pair prefilter or the crossing test: the engine projects with one shear
 and integer comparisons.
+
+The file also keeps two engine functions as they were before the engine
+collapsed runs of under passes and evaluated the core determinant by its
+symmetry: `_wirtinger_rows`, one relation row per crossing, and
+`_core_det`, which evaluates the determinant at one point per degree of a
+row- or column-degree sum and needs no symmetry.  The latter uses the
+engine's prime table and modular elimination (`_primes`, `_det_mod`),
+which the tests check on their own.
 """
 
+import itertools
+import math
 from fractions import Fraction
 
-from knotfold.alexander import ProjectionDiagram
-from knotfold.diagram import build_diagram
+import numpy as np
+
+from knotfold.alexander import _BATCH_ENTRIES, _PRIME_BITS, ProjectionDiagram, _det_mod, _primes
+from knotfold.diagram import PlanarDiagram, build_diagram
 from knotfold.errors import NoRegularShear
 from knotfold.lattice import LatticeKnot, canonicalize
 from knotfold.laurent import LaurentPoly
@@ -296,3 +308,152 @@ def det_up_to_units_oracle(rows: dict[int, dict[int, LaurentPoly]]) -> LaurentPo
         return LaurentPoly.zero()
     return LaurentPoly({e: v for e, v in enumerate(bareiss_det(dense))})
 
+
+
+# ---------------------------------------------------------------------------
+# the row builder and the core determinant before under-runs were collapsed
+# and the determinant was evaluated by its symmetry
+
+
+def _wirtinger_rows(pd: PlanarDiagram) -> dict[int, dict[int, dict[int, int]]]:
+    """Abelianized Wirtinger relations, the last crossing's row and arc 0's column dropped.
+
+    Each under pass ends one arc and starts the next, so the edge entering
+    pass p lies on arc k mod n, where k counts the under passes before p;
+    arc 0 is the one through the start of the traversal.  Each row maps an
+    arc to its entry, a fresh ``{exponent: coefficient}`` dict with no zero
+    coefficient; arcs whose contributions cancel are left out.
+    """
+    n = len(pd.crossings)
+    if n == 0:
+        return {}
+    arc_at = [0] * (2 * n)
+    for crossing in pd.crossings:
+        arc_at[crossing.under_in] = 1
+    arc_at = list(itertools.accumulate(arc_at, initial=0))
+    rows: dict[int, dict[int, dict[int, int]]] = {}
+    for idx, crossing in enumerate(pd.crossings[:-1]):
+        o = arc_at[crossing.over_in] % n
+        a = arc_at[crossing.under_in]
+        b = (a + 1) % n
+        if crossing.sign > 0:
+            # 1 - t, t, -1
+            contrib = ((o, 0, 1), (o, 1, -1), (a, 1, 1), (b, 0, -1))
+        else:
+            # t - 1, 1, -t: the relation row scaled by t to stay in Z[t]
+            contrib = ((o, 1, 1), (o, 0, -1), (a, 0, 1), (b, 1, -1))
+        row: dict[int, dict[int, int]] = {}
+        for arc, e, v in contrib:
+            if arc:
+                entry = row.setdefault(arc, {})
+                v += entry.get(e, 0)
+                if v:
+                    entry[e] = v
+                else:
+                    del entry[e]
+        rows[idx] = {arc: entry for arc, entry in row.items() if entry}
+    return rows
+
+
+def _core_det(dense: list[list[list[int]]]) -> list[int]:
+    """Determinant of a square matrix over Z[t], lowest coefficient first.
+
+    Entries are coefficient lists.  The determinant is evaluated at the
+    points 1..D+1 modulo enough primes, interpolated modulo each prime and
+    recombined by the Chinese remainder theorem (von zur Gathen and
+    Gerhard, Modern Computer Algebra, ch. 5).  The bounds are rigorous, so
+    the result is exact.  Once each column is divided by its lowest power
+    of t, D, the sum of the row degrees or of the column degrees, whichever
+    is smaller, bounds the degree.  The product over rows, or over
+    columns, of the L2 norm of the entries' L1 norms bounds |det| on
+    |t| = 1 (Hadamard), hence every coefficient.
+    """
+    m = len(dense)
+    if m == 0:
+        return [1]
+    if not all(map(any, dense)) or not all(map(any, zip(*dense))):
+        return []  # a zero row or column
+    if m == 1:
+        return list(dense[0][0])
+    # divide each column by its lowest power of t; det gains their product
+    shifts = [
+        min(next(k for k, c in enumerate(e) if c) for e in col if e) for col in zip(*dense)
+    ]
+    dense = [[e[s:] for e, s in zip(row, shifts)] for row in dense]
+    degree = min(
+        sum(max(map(len, line)) - 1 for line in lines) for lines in (dense, zip(*dense))
+    )
+    l1 = [[sum(map(abs, e)) for e in row] for row in dense]
+    bound_sq = min(math.prod(sum(v * v for v in line) for line in lines) for lines in (l1, zip(*l1)))
+    n_pts = degree + 1
+    primes, modulus = [], 1
+    for q in _primes():
+        if modulus * modulus > 4 * bound_sq:
+            break
+        if q <= n_pts:
+            raise ArithmeticError(f"no prime left above {n_pts} evaluation points")
+        primes.append(q)
+        modulus *= q
+    # imported here, not with the module: `import logging` adds about 7 ms
+    # and 0.4 MB to every start-up, and only certify gets this far
+    import logging
+
+    logging.getLogger(__name__).debug(
+        "dense core: %d rows, degree bound %d, coefficient bound %d bits, %d primes",
+        m, degree, (bound_sq.bit_length() + 1) // 2, len(primes),
+    )
+
+    # evaluation: the entries' coefficients times a table of powers, as
+    # float64 products that stay below 2^53 and so are exact; coefficients
+    # are cut into signed limbs of `bits` bits to keep them there
+    width = max(len(e) for row in dense for e in row)
+    bits = 52 - _PRIME_BITS - width.bit_length()
+    if bits < 1:
+        raise ArithmeticError(f"core entries of {width} coefficients are too long")
+    flat = [e + [0] * (width - len(e)) for row in dense for e in row]
+    top = max(abs(c) for e in flat for c in e)
+    coef = np.array(flat, dtype=np.int64 if top < 1 << 63 else object)
+    neg = coef < 0
+    mag = np.where(neg, -coef, coef)
+    limbs = []
+    for j in range(max(1, -(-top.bit_length() // bits))):
+        limb = ((mag >> (j * bits)) & ((1 << bits) - 1)).astype(np.int64)
+        limbs.append(np.where(neg, -limb, limb).astype(np.float64))
+    x = np.arange(1, n_pts + 1, dtype=np.int64)
+    values = np.empty((len(primes), n_pts), dtype=np.int64)
+    step = max(1, _BATCH_ENTRIES // (m * m))
+    for i, q in enumerate(primes):
+        powers = np.empty((width, n_pts), dtype=np.int64)
+        powers[0] = 1
+        for k in range(1, width):
+            powers[k] = powers[k - 1] * x % q
+        powers = powers.astype(np.float64)
+        for lo in range(0, n_pts, step):
+            for j, limb in enumerate(limbs):
+                part = (limb @ powers[:, lo:lo + step]).astype(np.int64) % q
+                mats = part if j == 0 else (mats + part * pow(2, j * bits, q)) % q
+            values[i, lo:lo + step] = _det_mod(mats.reshape(m, m, -1), q)
+
+    # interpolation modulo each prime: Newton divided differences on the
+    # points 1..n_pts, computed in place (consecutive points, so the k-th
+    # pass divides by k), then the Newton form expanded into coefficients
+    pc = np.array(primes, dtype=np.int64)[:, None]
+    newton = values
+    for k in range(1, n_pts):
+        inv = np.array([[pow(k, -1, q)] for q in primes], dtype=np.int64)
+        newton[:, k:] = (newton[:, k:] - newton[:, k - 1:-1]) % pc * inv % pc
+    out = np.zeros_like(newton)
+    out[:, 0] = newton[:, -1]
+    for k in range(n_pts - 2, -1, -1):
+        out[:, 1:] = (out[:, :-1] - (k + 1) * out[:, 1:]) % pc
+        out[:, 0] = (newton[:, k] - (k + 1) * out[:, 0]) % pc[:, 0]
+
+    # Chinese remainder theorem, to the residue nearest zero
+    basis = [modulus // q * pow(modulus // q, -1, q) for q in primes]
+    det = []
+    for residues in out.T.tolist():
+        c = sum(r * b for r, b in zip(residues, basis)) % modulus
+        det.append(c - modulus if 2 * c > modulus else c)
+    while det and det[-1] == 0:
+        det.pop()
+    return [0] * sum(shifts) + det if det else []

@@ -87,13 +87,17 @@ class TestAlexander:
             alexander(grid_to_planar(parse_grid("X: 1,2,3,4,5\nO: 3,4,5,1,2\n")))
 
     def test_dense_core_logged_at_debug(self, caplog):
-        pd = grid_to_planar(random_grid(48, 1))  # its dense core has 5 rows
+        pd = grid_to_planar(random_grid(48, 1))  # its dense core has 7 rows
         with caplog.at_level(logging.DEBUG, logger="knotfold.alexander"):
             poly = alexander(pd)
         records = [r for r in caplog.records if r.name == "knotfold.alexander"]
         assert len(records) == 1
-        rows, degree, bits, primes = records[0].args
-        assert rows == 5 and degree >= rows
+        rows, lo, hi, centre, h, bits, primes = records[0].args
+        assert rows == 7
+        # the polynomial's span is at most twice the distance from the
+        # centre to the nearer end of the degree range [lo, hi]
+        assert lo <= centre <= hi and h == min(centre - lo, hi - centre)
+        assert 0 < poly.span <= 2 * h
         # the engine takes primes until their product exceeds twice the
         # coefficient bound B, and the record's bits say 2^(bits-1) <= B < 2^bits
         used = list(itertools.islice(_primes(), primes))
