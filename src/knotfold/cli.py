@@ -381,9 +381,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first call to main, not at import, and reused by later calls
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except KnotfoldError as exc:

@@ -13,7 +13,8 @@ fold keeps the knot type while shrinking the edge count.
 
 A fold walks its input's sticks in maximal same-axis runs and emits the
 folded curve as a cyclic corner list, one to three corners per run; the
-lowering of a crease stick drops two corners.  Self-avoidance is tested on
+lowering of a crease stick drops two corners, and only the lowered sticks
+are then tested against the rest of the curve.  Self-avoidance is tested on
 sticks, never on unit points: stick i covers the closed integer interval
 from corner i to one step before corner i + 1, and the curve is
 self-avoiding exactly when those covered sets are pairwise disjoint.
@@ -255,9 +256,8 @@ def validate_lattice(k: LatticeKnot) -> ValidationReport:
         report.add("TooFewCorners", f"{m} corners cannot close a lattice polygon")
         return report
     structural_ok = True
-    for i in range(m):
-        p, q = corners[i], corners[(i + 1) % m]
-        ndiff = sum(1 for j in range(3) if p[j] != q[j])
+    for i, (p, q) in enumerate(zip(corners, corners[1:] + corners[:1])):
+        ndiff = (p[0] != q[0]) + (p[1] != q[1]) + (p[2] != q[2])
         if ndiff == 0:
             report.add("ZeroLengthStick", f"corner {i} repeats point {p}")
             structural_ok = False
@@ -359,26 +359,25 @@ def _lower_stick(corners, col):
     return corners[:i] + corners[i + 2 :]
 
 
-def _fold(k, axis, line, level, side):
-    """Turn the points of k beyond a fold line half a turn about it.
+def _fold_walk(k, axis, line, level, side):
+    """Turn the points of k beyond a fold line half a turn about it, unchecked.
 
     The line runs in the z=level plane at coordinate ``line`` of the fold
     axis (0 for x, 1 for y); the points beyond it on ``side`` map by
     p[axis] -> 2*line - p[axis], z -> 2*level - z.  A stick that runs back
     along the stick before it always overlaps it and is refused, so each
-    maximal same-axis run of k's sticks is straight.  The fold walks those
-    runs, starting at the first corner where the axis changes, and each run
-    emits the image of its first corner.  A fold-axis run in that plane
-    goes straight to the image of its last corner, dropping the edges the
-    fold doubles; it emits nothing when those images coincide.  A fold-axis
-    run on z-level level - 2 that the line severs also emits the two
-    corners of a bridge of two fold-axis edges and four z-edges one unit
-    beyond the line, around the outside of the fold.  The folded cycle is
-    tested for collisions once, by the covered intervals of its sticks (see
-    _meetings).  A collision raises ReconnectFailure when a point visited
-    twice lies on a bridge's column, else FoldCollision; either names the
-    least point visited twice.  Returns the folded corner cycle, the number
-    of doubled edges removed and the number of bridges built.
+    maximal same-axis run of k's sticks is straight.  The walk goes over
+    those runs, starting at the first corner where the axis changes, and
+    each run emits the image of its first corner.  A fold-axis run in that
+    plane goes straight to the image of its last corner, dropping the edges
+    the fold doubles; it emits nothing when those images coincide.  A
+    fold-axis run on z-level level - 2 that the line severs also emits the
+    two corners of a bridge of two fold-axis edges and four z-edges one
+    unit beyond the line, around the outside of the fold.  Returns the
+    folded corner cycle, the number of doubled edges removed and the index
+    in the cycle of each bridge's z-stick, so the cycle has k's edges less
+    the removed ones plus six per bridge.  The cycle is not tested for
+    collisions here; _fold_check does that.
     """
     offset = [0, 0, 2 * level]
     offset[axis] = 2 * line
@@ -409,8 +408,8 @@ def _fold(k, axis, line, level, side):
                 "so the curve overlaps itself"
             )
     out: list[tuple[int, int, int]] = []
-    bridged: set[int] = set()  # the index of each bridge's z-stick in out
-    removed = broken = 0
+    bridged: list[int] = []  # the index of each bridge's z-stick in out
+    removed = 0
     for (run_axis, first), (_, last) in zip(runs, runs[1:] + runs[:1]):
         start = image(first)
         if run_axis != axis:
@@ -429,46 +428,121 @@ def _fold(k, axis, line, level, side):
             # the line does not sever this run, so all of it lies on one side
             out.append(start)
         else:
-            broken += 1
             foot = list(first)
             foot[axis] = line + 1 if high else line - 1
             low, top = (*foot[:2], level - 2), (*foot[:2], level + 2)
-            bridged.add(len(out) + 1)
+            bridged.append(len(out) + 1)
             out += [start, top, low] if beyond(first) else [start, low, top]
-    folded = tuple(out)
+    return tuple(out), removed, tuple(bridged)
+
+
+def _fold_check(folded, bridged, axis, line) -> None:
+    """Raise unless the cycle _fold_walk made is self-avoiding.
+
+    The cycle is tested once, by the covered intervals of its sticks (see
+    _meetings).  A collision raises ReconnectFailure, naming the least
+    point visited twice, when a point visited twice lies on a bridge's
+    column, and FoldCollision otherwise.
+    """
     hits = list(_meetings(sticks_of(LatticeKnot(folded))))
-    if hits:
-        n = len(folded)
+    if not hits:
+        return
+    n = len(folded)
+    bridged = set(bridged)
 
-        def on_bridge(s, lo, hi):
-            # a bridge's column is its z-stick's covered set and the first
-            # point of the stick after it
-            return s in bridged or (
-                (s - 1) % n in bridged and all(u <= v <= w for u, v, w in zip(lo, folded[s], hi))
-            )
-
-        least = min(lo for _, _, lo, _ in hits)
-        if any(on_bridge(s, lo, hi) for i, j, lo, hi in hits for s in (i, j)):
-            raise ReconnectFailure(
-                f"broken-stick bridge collides with existing geometry at {least}"
-            )
-        raise FoldCollision(
-            f"fold about the {'xy'[axis]}-line {line} left coincident lattice points"
+    def on_bridge(s, lo, hi):
+        # a bridge's column is its z-stick's covered set and the first
+        # point of the stick after it
+        return s in bridged or (
+            (s - 1) % n in bridged and all(u <= v <= w for u, v, w in zip(lo, folded[s], hi))
         )
-    return folded, removed, broken
+
+    least = min(lo for _, _, lo, _ in hits)
+    if any(on_bridge(s, lo, hi) for i, j, lo, hi in hits for s in (i, j)):
+        raise ReconnectFailure(f"broken-stick bridge collides with existing geometry at {least}")
+    raise FoldCollision(f"fold about the {'xy'[axis]}-line {line} left coincident lattice points")
 
 
-def _fold_finish(k, corners, axis, line, side, removed, removed_z, broken):
+def _fold(k, axis, line, level, side):
+    """The checked fold: _fold_walk's cycle after _fold_check has passed it.
+
+    Returns the folded corner cycle, the number of doubled edges removed
+    and the number of bridges built.
+    """
+    folded, removed, bridged = _fold_walk(k, axis, line, level, side)
+    _fold_check(folded, bridged, axis, line)
+    return folded, removed, len(bridged)
+
+
+def _crease_columns(g: int, side: str) -> tuple[int, ...]:
+    """The x-levels whose z=2 y-sticks fold_horizontal lowers onto z-level 1.
+
+    The crease, and for even g also the outermost kept x-level.
+    """
+    xf = _fold_line(g, side)
+    return (xf,) if g % 2 == 1 else (xf, 1 if side == "high" else g)
+
+
+def _unchecked_fold(k, g, axis, side):
+    """The unchecked walk of fold_horizontal (axis 0) or fold_vertical (axis 1).
+
+    Returns the folded corner cycle before any crease lowering, its total
+    edges less k's, and the fold's total edges less k's once the crease
+    sticks are lowered.  A fold that passes its checks gives a knot of
+    exactly that total, which _fold_finish reconciles.
+    """
+    # the horizontal fold turns in the z=1 plane, the vertical one in z=2
+    corners, removed, bridged = _fold_walk(k, axis, _fold_line(g, side), 1 + axis, side)
+    turned = 6 * len(bridged) - removed
+    return corners, turned, turned - 2 * len(_crease_columns(g, side)) * (axis == 0)
+
+
+def _lowering_meets(corners, cols) -> bool:
+    """Whether a lowered stick lands on the rest of its cycle.
+
+    ``corners`` is a cycle that was self-avoiding until its z=2 y-sticks
+    at the x-levels ``cols`` were lowered onto z-level 1.  The lowering took
+    points off the curve and put back only the open interiors of the
+    lowered sticks, so the lowered cycle is self-avoiding exactly when no
+    other stick meets such an interior.  A stick's end corner is also the
+    start of the next stick, so sticks can be tested as closed segments.
+    Every y-stick on z-level 1 at those x-levels is tested, the lowered
+    ones among them, each against every other stick: O(n) per tested
+    stick, with no sort.
+    """
+    sticks = list(zip(corners, corners[1:] + corners[:1]))
+    for i, (a, b) in enumerate(sticks):
+        col = a[0]
+        if not (a[2] == b[2] == 1 and b[0] == col and col in cols and abs(b[1] - a[1]) > 1):
+            continue
+        lo, hi = min(a[1], b[1]) + 1, max(a[1], b[1]) - 1
+        for j, (p, q) in enumerate(sticks):
+            if (
+                (p[0] <= col <= q[0] or q[0] <= col <= p[0])
+                and (p[2] <= 1 <= q[2] or q[2] <= 1 <= p[2])
+                and (p[1] <= hi and lo <= q[1] if p[1] <= q[1] else q[1] <= hi and lo <= p[1])
+                and j != i
+            ):
+                return True
+    return False
+
+
+def _fold_finish(k, corners, axis, line, side, removed, lowered, broken):
     """Canonical knot and reconciled report of a fold whose output cycle is corners.
 
-    The fold has tested its own cycle for collisions, but a lowered stick
-    (removed_z > 0) can land on the curve, so a lowered cycle goes through
-    validate_lattice once more: its sticks' covered intervals must be
-    pairwise disjoint.
+    The fold has tested its own cycle for collisions.  When it then lowered
+    the y-sticks at the x-levels ``lowered``, each saving two z-edges,
+    only those sticks can land on the curve, so _lowering_meets tests just
+    their interiors.  If it finds a meeting, validate_lattice names the
+    point visited twice; the two must agree.  The per-axis edge counts
+    must reconcile with the removed edges, the lowering and the bridges.
     """
     knot = canonicalize(LatticeKnot(tuple(corners)))
-    if removed_z:
-        _require_valid(knot, f"fold about the {'xy'[axis]}-line {line} broke an invariant")
+    if lowered and _lowering_meets(corners, lowered):
+        context = f"fold about the {'xy'[axis]}-line {line} broke an invariant"
+        _require_valid(knot, context)
+        raise FoldCollision(f"{context}: a lowered stick meets the curve, yet the curve validates")
+    removed_z = 2 * len(lowered)
     report = FoldReport(
         fold_axis="xy"[axis],
         side=side,
@@ -505,19 +579,20 @@ def fold_horizontal(
 
     The input must be self-avoiding.  That precondition is not checked:
     run_pipeline's input here is settle's output, which settle has checked.
-    The folded curve is checked, before and after the lowering, but a fold
-    can remove the very overlap that made an input invalid.
+    The folded curve is swept for collisions before the lowering, and
+    after it only the lowered sticks are tested (see _fold_finish); but a
+    fold can remove the very overlap that made an input invalid.
     """
     xf = _fold_line(g, side)
     # the corners' levels bound the points' levels, and {1, 2} has no gap
     if not {c[2] for c in k.corners} <= {1, 2}:
         raise ValueError("fold_horizontal expects a settled knot on z-levels 1 and 2")
     unlowered, removed, _ = _fold(k, 0, xf, 1, side)
-    lower_cols = [xf] if g % 2 == 1 else [xf, 1 if side == "high" else g]
+    cols = _crease_columns(g, side)
     corners = unlowered
-    for col in lower_cols:
+    for col in cols:
         corners = _lower_stick(corners, col)
-    knot, report = _fold_finish(k, corners, 0, xf, side, removed, 2 * len(lower_cols), 0)
+    knot, report = _fold_finish(k, corners, 0, xf, side, removed, cols, 0)
     return knot, report, canonicalize(LatticeKnot(unlowered))
 
 
@@ -539,7 +614,7 @@ def fold_vertical(k: LatticeKnot, g: int, side: str) -> tuple[LatticeKnot, FoldR
     if not {c[2] for c in k.corners} <= {0, 1, 2}:
         raise ValueError("fold_vertical expects a horizontally folded knot on z-levels 0..2")
     corners, removed, broken = _fold(k, 1, yf, 2, side)
-    return _fold_finish(k, corners, 1, yf, side, removed, 0, broken)
+    return _fold_finish(k, corners, 1, yf, side, removed, (), broken)
 
 
 # ---------------------------------------------------------------------------

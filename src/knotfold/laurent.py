@@ -97,7 +97,17 @@ class LaurentPoly:
         return LaurentPoly({e + k: v for e, v in self._c.items()})
 
     def __call__(self, value):
-        """Evaluate at a number (int or Fraction); t=0 requires no negative exponents."""
+        """Evaluate at a number (int or Fraction); t=0 requires no negative exponents.
+
+        At an int the value is taken in integers as num / t**-low, where low
+        is the least exponent or 0, whichever is smaller, and a Fraction is
+        built only when t**-low does not divide num.
+        """
+        if isinstance(value, int):
+            low = min([0, *self._c])
+            num = sum(v * value ** (k - low) for k, v in self._c.items())
+            den = value**-low
+            return num // den if num % den == 0 else Fraction(num, den)
         total = Fraction(0)
         for k, v in self._c.items():
             total += v * Fraction(value) ** k

@@ -4,6 +4,7 @@ import tracemalloc
 import pytest
 
 from knotfold.bounds import theorem_len_bound, theorem_rop_bound
+from knotfold import cli
 from knotfold.cli import main
 
 
@@ -315,3 +316,26 @@ def test_bad_random_spec_usage_error(tmp_path, capsys, spec):
     assert exc.value.code == 2
     assert "argument --random" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_main_calls_in_one_process_keep_their_own_inputs(tmp_path, capsys):
+    # main builds its parser once; a later call must not see an earlier
+    # call's --corpus or --input lists
+    grid = tmp_path / "five.txt"
+    grid.write_text("X: 1,2,3,4,5\nO: 3,4,5,1,2\n")
+    first, second = tmp_path / "a", tmp_path / "b"
+    assert main(["build", "--corpus", "3_1", "--input", str(grid), "--steps", "1",
+                 "--out", str(first)]) == 0
+    parser = cli._parser
+    assert main(["build", "--corpus", "4_1", "--steps", "1", "--out", str(second)]) == 0
+    assert main(["build", "--input", str(grid), "--steps", "1", "--out", str(second)]) == 0
+    assert cli._parser is parser
+    capsys.readouterr()
+
+    def files(*labels):
+        return sorted(f"{label}.{suffix}" for label in labels
+                      for suffix in ("step1.txt", "step1.json", "reports.txt"))
+
+    assert sorted(p.name for p in first.iterdir()) == files("3_1", "five")
+    assert sorted(p.name for p in second.iterdir()) == files("4_1", "five")
+    assert (second / "five.reports.txt").read_text() == (first / "five.reports.txt").read_text()

@@ -4,10 +4,12 @@ from knotfold.errors import DegenerateCurve, FoldCollision, MalformedInput
 from knotfold.grid import parse_grid, random_grid
 from knotfold.lattice import (
     LatticeKnot,
+    _crease_columns,
     _fold,
     _fold_finish,
     _fold_line,
     _lower_stick,
+    _lowering_meets,
     _require_valid,
     canonicalize,
     edge_census,
@@ -388,6 +390,72 @@ class TestFoldFinishErrors:
         # corner; the corner cycle still traces the square
         corners = [(0, 0, 0), (1, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 0)]
         square = LatticeKnot(((0, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 0)))
-        knot, report = _fold_finish(square, corners, 0, 1, "high", 0, 0, 0)
+        knot, report = _fold_finish(square, corners, 0, 1, "high", 0, (), 0)
         assert knot == canonicalize(square)
         assert report.pre == report.post == edge_census(square)
+
+
+class TestLoweringCheck:
+    """_lowering_meets against validate_lattice on the whole lowered knot."""
+
+    @pytest.mark.parametrize("g", range(2, 41))
+    def test_agrees_with_validate_lattice_on_random_grids(self, g):
+        for seed in range(10):
+            k1 = settle(random_grid(g, seed))
+            for side in ("high", "low"):
+                cols = _crease_columns(g, side)
+                corners = _fold(k1, 0, _fold_line(g, side), 1, side)[0]
+                for col in cols:
+                    corners = _lower_stick(corners, col)
+                valid = validate_lattice(canonicalize(LatticeKnot(corners))).ok
+                assert _lowering_meets(corners, cols) == (not valid), (seed, side)
+
+    # Self-avoiding cycles whose z=2 y-stick at x=4 lowers onto z=1: the
+    # lowered stick's open interior meets another stick in the first three
+    CASES = {
+        # the x-stick at y=3, z=1 crosses the interior
+        "x_stick": (
+            ((4, 0, 1), (4, 0, 2), (4, 6, 2), (4, 6, 1), (7, 6, 1), (7, 3, 1), (1, 3, 1),
+             (1, 3, 0), (1, 0, 0), (4, 0, 0)),
+            (4, 3, 1),
+        ),
+        # the y-stick from (4, 4, 1) to (4, 2, 1) lies along the interior
+        "collinear_y_stick": (
+            ((4, 0, 1), (4, 0, 2), (4, 6, 2), (4, 6, 1), (6, 6, 1), (6, 4, 1), (6, 4, 0),
+             (4, 4, 0), (4, 4, 1), (4, 2, 1), (4, 2, 0), (2, 2, 0), (2, 0, 0), (4, 0, 0)),
+            (4, 4, 1),
+        ),
+        # the z-stick up from (4, 3, 0) ends on the interior at z=1
+        "z_stick": (
+            ((4, 0, 1), (4, 0, 2), (4, 6, 2), (4, 6, 1), (6, 6, 1), (6, 6, 0), (6, 3, 0),
+             (4, 3, 0), (4, 3, 1), (2, 3, 1), (2, 0, 1)),
+            (4, 3, 1),
+        ),
+        # sticks end on both end corners of the lowered stick, and an
+        # x-stick crosses x=4 one step beyond one of them: still valid
+        "end_corners_only": (
+            ((4, 2, 1), (4, 2, 2), (4, 7, 2), (4, 7, 1), (4, 9, 1), (6, 9, 1), (6, 1, 1),
+             (1, 1, 1), (1, 2, 1)),
+            None,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_synthetic_cases(self, name):
+        corners, point = self.CASES[name]
+        k = LatticeKnot(corners)
+        assert validate_lattice(k).ok
+        lowered = _lower_stick(list(corners), 4)
+        report = validate_lattice(canonicalize(LatticeKnot(lowered)))
+        assert _lowering_meets(lowered, (4,)) == (point is not None) == (not report.ok)
+        if point is None:
+            knot, fold = _fold_finish(k, lowered, 0, 4, "high", 0, (4,), 0)
+            assert fold.post.z_edges == edge_census(k).z_edges - 2
+            assert validate_lattice(knot).ok
+        else:
+            assert str(report) == f"SelfIntersection: lattice point {point} visited twice"
+            with pytest.raises(FoldCollision) as err:
+                _fold_finish(k, lowered, 0, 4, "high", 0, (4,), 0)
+            assert str(err.value) == f"fold about the x-line 4 broke an invariant: {report}"
+            # a lowering at another x-level tests no stick here
+            assert not _lowering_meets(lowered, (5,))

@@ -24,6 +24,44 @@ def test_evaluation():
     assert p(Fraction(2)) == Fraction(3, 2)
 
 
+def test_evaluation_at_integers_matches_fractions():
+    polys = [
+        LaurentPoly({-1: 1, 0: -1, 1: 1}),
+        LaurentPoly({-3: 2, -1: -5, 2: 7}),
+        LaurentPoly({0: 4, 3: -1}),
+        LaurentPoly({-2: 3, 1: 1}),
+        LaurentPoly.zero(),
+    ]
+    for p in polys:
+        for t in (-3, -2, -1, 1, 2, 5):
+            want = sum(v * Fraction(t) ** k for k, v in p.coeffs.items())
+            got = p(t)
+            assert got == p(Fraction(t)) == want
+            # an integral value comes back as an int, as before
+            assert type(got) is (int if want.denominator == 1 else Fraction)
+    assert LaurentPoly({-2: 3, 1: 1})(2) == Fraction(11, 4)
+    assert LaurentPoly({-2: 3, 1: 1})(-2) == Fraction(-5, 4)
+    assert LaurentPoly({-1: 4, 1: 1})(2) == 4
+
+
+def test_evaluation_at_zero():
+    assert LaurentPoly({0: 5, 2: 1})(0) == 5
+    assert LaurentPoly({1: 1})(0) == 0
+    assert LaurentPoly.zero()(0) == 0
+    for t in (0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            LaurentPoly({-1: 1, 0: 1})(t)
+
+
+def test_evaluation_at_integers_builds_no_fraction(monkeypatch):
+    def no_fraction(*args):
+        raise AssertionError("Fraction built at an integer point")
+
+    monkeypatch.setattr("knotfold.laurent.Fraction", no_fraction)
+    assert LaurentPoly({-4: 1, -3: -1, -1: 1, 0: -1, 1: 1, 3: -1, 4: 1})(1) == 1
+    assert LaurentPoly({-1: 2, 0: -3, 1: 2})(-1) == -7
+
+
 def test_normalize_centers_and_signs():
     assert LaurentPoly({3: 1, 5: -1, 7: 1}).normalize() == LaurentPoly({-2: 1, 0: -1, 2: 1})
     assert LaurentPoly({0: -1, 1: 3, 2: -1}).normalize() == LaurentPoly({-1: -1, 0: 3, 1: -1})
