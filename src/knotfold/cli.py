@@ -70,6 +70,14 @@ def _parse_random_spec(text: str) -> tuple[int, int, int]:
     return g, seed, count
 
 
+def _read_input(path: str) -> str:
+    """The text of an input file, which must be UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def _resolve_inputs(args) -> list[InputSpec]:
     specs: list[InputSpec] = []
     if args.corpus:
@@ -91,8 +99,7 @@ def _resolve_inputs(args) -> list[InputSpec]:
                 )
             )
     for path in args.input or ():
-        text = Path(path).read_text()
-        specs.append(InputSpec(label=Path(path).stem, diagram=parse_grid(text)))
+        specs.append(InputSpec(label=Path(path).stem, diagram=parse_grid(_read_input(path))))
     if args.random:
         g, seed, count = args.random
         for s in range(seed, seed + count):
@@ -223,7 +230,7 @@ def cmd_certify(args) -> int:
     all_pass = True
     if args.lattice:
         for path in args.lattice:
-            knot, prov = parse_lattice(Path(path).read_text())
+            knot, prov = parse_lattice(_read_input(path))
             label = prov.get("source", Path(path).stem)
             g = _provenance_int(prov, "g")
             step = _provenance_int(prov, "step")

@@ -483,18 +483,10 @@ def _crease_columns(g: int, side: str) -> tuple[int, ...]:
     return (xf,) if g % 2 == 1 else (xf, 1 if side == "high" else g)
 
 
-def _unchecked_fold(k, g, axis, side):
-    """The unchecked walk of fold_horizontal (axis 0) or fold_vertical (axis 1).
-
-    Returns the folded corner cycle before any crease lowering, its total
-    edges less k's, and the fold's total edges less k's once the crease
-    sticks are lowered.  A fold that passes its checks gives a knot of
-    exactly that total, which _fold_finish reconciles.
-    """
-    # the horizontal fold turns in the z=1 plane, the vertical one in z=2
-    corners, removed, bridged = _fold_walk(k, axis, _fold_line(g, side), 1 + axis, side)
-    turned = 6 * len(bridged) - removed
-    return corners, turned, turned - 2 * len(_crease_columns(g, side)) * (axis == 0)
+def _vertical_delta(k, g, side):
+    """fold_vertical's total edges less k's, from its walk; exact when the fold passes."""
+    _, removed, bridged = _fold_walk(k, 1, _fold_line(g, side), 2, side)
+    return 6 * len(bridged) - removed
 
 
 def _lowering_meets(corners, cols) -> bool:
@@ -657,7 +649,8 @@ def parse_lattice(text: str) -> tuple[LatticeKnot, dict]:
         try:
             data = json.loads(stripped)
             corners = data["corners"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
+            # ValueError: also an integer past Python's digit limit
             raise MalformedInput(f"bad JSON lattice form: {exc}") from exc
         if not isinstance(corners, list) or not corners or not all(
             isinstance(c, list) and len(c) == 3 and all(type(v) is int for v in c)

@@ -253,6 +253,13 @@ def _arc_seg_batch(c, u, v, a, b):
     are those of the scalar `_arc_seg_dist` in tests/scan_oracle.py, so
     on integer coordinates below 2**24 in magnitude, where every integer
     intermediate is exact in float64, the result is the same to the last bit.
+
+    The pole is left out.  u and v span the segment's axis s and the axis
+    q across it, so the pole in the quarter is an arc end, c + u or c + v.
+    Over the segment, that end's point-to-segment candidate differs from it
+    only by the rounding of fl(fl(x/y)*y) in s, whose square vanishes in
+    the integer sum of the others unless that sum is 0; then |k| = 1,
+    h = 0, and a crossing candidate gives exactly 0.
     """
     rows = np.arange(len(c))
     n = np.argmin(np.abs(u) + np.abs(v), axis=1)  # the arc plane's normal axis
@@ -277,11 +284,6 @@ def _arc_seg_batch(c, u, v, a, b):
         _point_seg_batch(c + u, a, b),
         _point_seg_batch(c + v, a, b),
     ]
-    # the pole: of the two circle points whose radial direction is along q,
-    # the one in the quarter (u or v itself); a candidate when over the segment
-    cs = c[rows, s]
-    pole = c[rows, q] + u[rows, q] + v[rows, q] - a[rows, q]
-    cands.append(np.where((lo <= cs) & (cs <= hi), np.sqrt(pole * pole + h * h), math.inf))
     # crossings: the segment passes over or under the arc
     k = a[rows, q] - c[rows, q]
     off = np.sqrt(np.maximum(1.0 - k * k, 0.0))
@@ -289,7 +291,7 @@ def _arc_seg_batch(c, u, v, a, b):
         ws = sgn * off
         wu = k * u[rows, q] + ws * u[rows, s]
         wv = k * v[rows, q] + ws * v[rows, s]
-        x = cs + ws
+        x = c[rows, s] + ws
         hit = (np.abs(k) <= 1.0) & (wu >= -1e-12) & (wv >= -1e-12) & (lo <= x) & (x <= hi)
         cands.append(np.where(hit, np.abs(h), math.inf))
     best[flat] = np.minimum(best[flat], np.min(cands, axis=0))

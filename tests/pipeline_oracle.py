@@ -1,11 +1,11 @@
 """The fold-side search as it was: every candidate folded and checked.
 
-A reference for ``knotfold.pipeline.run_pipeline``, which ranks the
-candidates by the exact totals of their unchecked walks and folds only
-the ones it keeps.  This one folds both sides of the horizontal fold and
-all four side pairs of the vertical one, keeps every candidate that
-validates and takes the least (total edges, canonical corners) at each
-step.  Both must give equal results, and the same error when every
+A reference for ``knotfold.pipeline.run_pipeline``, which folds both
+horizontal sides too, but ranks the four vertical side pairs by the exact
+totals of their walks and folds only the ones it keeps.  This one folds
+both sides of the horizontal fold and all four side pairs of the vertical
+one, keeps every candidate that validates and takes the least (total
+edges, canonical corners) at each step.  Both must give equal results, and the same error when every
 candidate fails.  It calls the same public folds, through its own names,
 so a test can patch a failure into both.
 """

@@ -44,7 +44,10 @@ def _arc_seg_dist(arc: ArcPiece, a, b) -> float:
     segment point is the one at the arc's level, so the point-to-arc
     formula applies; in-plane directions reduce to 2D circle vs segment,
     where the minimum is at one of finitely many critical candidates
-    (endpoints, poles, crossings).
+    (endpoints, poles, crossings).  The batched `_arc_seg_batch` leaves the
+    pole out, on the proof in its docstring that the pole's value is always
+    that of an endpoint or crossing candidate; comparing the two bit for
+    bit tests that proof.
     """
     n_axis = next(i for i in range(3) if arc.u[i] == 0 and arc.v[i] == 0)
     d = tuple(b[i] - a[i] for i in range(3))

@@ -9,6 +9,8 @@ from knotfold.cli import main
 
 
 SQUARE = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]
+# 200 bytes that are not UTF-8: they start with 0xff, a byte UTF-8 never uses
+NOT_UTF8 = bytes(range(255, 55, -1))
 
 
 def run(capsys, *argv):
@@ -49,6 +51,13 @@ class TestBuild:
         code, _, stderr = run(capsys, "build", "--input", str(bad))
         assert code == 2
         assert "NotAPermutation" in stderr
+
+    def test_input_not_utf8_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.grid"
+        bad.write_bytes(NOT_UTF8)
+        code, _, stderr = run(capsys, "build", "--input", str(bad), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "error: MalformedInput" in stderr and str(bad) in stderr
 
     def test_no_inputs_exit_2(self, tmp_path, capsys):
         code, _, stderr = run(capsys, "build", "--out", str(tmp_path / "o"))
@@ -113,6 +122,23 @@ class TestCertify:
         code, stdout, stderr = run(capsys, "certify", "--lattice", str(path), "--out", str(tmp_path))
         assert code == 2
         assert "MalformedInput" in stderr
+        assert "PASS" not in stdout
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            NOT_UTF8,
+            b'{"corners": [[' + b"1" * 4301 + b", 0, 0]]}",
+            b'{"corners": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+        ],
+        ids=["not-utf8", "long-integer", "deep-nesting"],
+    )
+    def test_unreadable_lattice_exit_2(self, tmp_path, capsys, content):
+        path = tmp_path / "k.json"
+        path.write_bytes(content)
+        code, stdout, stderr = run(capsys, "certify", "--lattice", str(path), "--out", str(tmp_path))
+        assert code == 2
+        assert "error: MalformedInput" in stderr
         assert "PASS" not in stdout
 
     def test_corner_beyond_bound_exit_2(self, tmp_path, capsys):

@@ -101,6 +101,9 @@ lattice_texts = st.one_of(
 @example(serialize_lattice(SQUARE, {"g": 2}, form="json"))
 @example(serialize_lattice(SQUARE, {"g": 2}))
 @example(json.dumps({"corners": [[0, 0, 0], [2**50 + 1, 0, 0], [2**50 + 1, 1, 0], [0, 1, 0]]}))
+# past Python's limit on the digits of an integer, and past its recursion limit
+@example('{"corners": [[' + "1" * 4301 + ", 0, 0]]}")
+@example('{"corners": ' + "[" * 100_000 + "]" * 100_000 + "}")
 def test_parse_lattice_refuses_only_with_knotfold_errors(text):
     parsed = accepts(parse_lattice, text)
     if parsed is not None:

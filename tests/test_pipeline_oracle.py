@@ -1,8 +1,9 @@
 """run_pipeline against the eager search that folds every candidate.
 
-run_pipeline ranks the fold-side candidates by the totals of their
-unchecked walks and folds only the ones it keeps; pipeline_oracle folds
-all six.  Their results must be equal.  No candidate fails on random
+run_pipeline folds both horizontal sides, ranks the four vertical side
+pairs by the totals of their walks over the checked curves and folds only
+the ones it keeps; pipeline_oracle folds all six.  Their results must be
+equal.  No candidate fails on random
 diagrams, so failures are patched into the public folds, the same way
 for both, and the two must then keep the same knots or raise the same
 error.
@@ -181,8 +182,10 @@ def test_every_candidate_fails(monkeypatch, g, seed):
 @pytest.mark.parametrize("g, seed", DIAGRAMS)
 @pytest.mark.parametrize("h_fails", [True, False])
 def test_walk_of_an_unchecked_curve_raises(monkeypatch, g, seed, h_fails):
-    # the vertical walk of one horizontal side's curve raises ValueError;
-    # the eager search only walks it when that side's fold has passed
+    # the vertical walk of one horizontal side's curve raises ValueError.
+    # Both searches walk a curve only once fold_horizontal has returned it,
+    # so a side whose fold failed is never walked, and a side that passed
+    # raises the walk's error from both
     d = random_grid(g, seed)
     _, _, unlowered = _candidates(d)
     h = run_pipeline(d).stages[3].sides[0]
@@ -196,7 +199,7 @@ def test_walk_of_an_unchecked_curve_raises(monkeypatch, g, seed, h_fails):
             raise ValueError("injected: this curve does not walk")
         return walk(k, axis, *args)
 
-    # the ranking and the public folds both walk through this one function
+    # the step-3 ranking and fold_vertical both walk through this one function
     monkeypatch.setattr(lattice, "_fold_walk", failing_walk)
     if h_fails:
         assert _same_outcome(d).stages[3].sides[0] != h
@@ -205,3 +208,26 @@ def test_walk_of_an_unchecked_curve_raises(monkeypatch, g, seed, h_fails):
             run_pipeline_eager(d)
         with pytest.raises(ValueError, match="injected"):
             run_pipeline(d)
+
+
+@pytest.mark.parametrize("g, seed", DIAGRAMS)
+def test_step_3_walks_only_checked_curves(monkeypatch, g, seed):
+    folded, walked = [], []
+
+    def horizontal(k, g, side):
+        folded.append((side, fold_horizontal(k, g, side)))
+        return folded[-1][1]
+
+    walk = lattice._fold_walk
+
+    def recording_walk(k, axis, *args):
+        if axis == 1:
+            walked.append(k)
+        return walk(k, axis, *args)
+
+    monkeypatch.setattr(pipeline, "fold_horizontal", horizontal)
+    monkeypatch.setattr(lattice, "_fold_walk", recording_walk)
+    run_pipeline(random_grid(g, seed))
+    assert [side for side, _ in folded] == list(SIDES)
+    checked = [result[2] for _, result in folded]
+    assert walked and all(any(k is u for u in checked) for k in walked)
