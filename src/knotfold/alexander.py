@@ -20,8 +20,8 @@ core is logged at DEBUG level: its rows, L, H, c, h = min(c - L, H - c),
 coefficient bound in bits and number of primes.
 
 The matrix entries are plain ``{exponent: coefficient}`` dicts of ints,
-which the elimination updates in place; a `LaurentPoly` is made only for
-the determinant that comes back.
+which the elimination updates in place; `alexander` makes a `LaurentPoly`
+only of the core determinant's coefficient list.
 
 Self-avoiding lattice knots are turned into diagrams by one integer
 shear projection, (x, y, z) -> (S*x + z, S*y + 2*z), under which z-sticks
@@ -591,22 +591,6 @@ def _dense_core(rows: dict[int, dict[int, dict[int, int]]]) -> list[list[list[in
     return dense
 
 
-def _det_up_to_units(rows: dict[int, dict[int, dict[int, int]]]) -> LaurentPoly:
-    """Determinant of a sparse Laurent matrix, up to a unit +-t^k.
-
-    Entries are ``{exponent: coefficient}`` dicts, as in `_dense_core`,
-    which consumes the rows.  Unit-monomial pivots are eliminated first
-    (`_dense_core`); the determinant of the remaining dense core is
-    computed from its symmetry modulo primes and recombined (`_core_det`).
-    Determinant scaling by units is not tracked since callers normalize.
-    """
-    dense = _dense_core(rows)
-    if dense is None:
-        return LaurentPoly.zero()
-    det = _core_det(dense)
-    return LaurentPoly({e: v for e, v in enumerate(det)})
-
-
 # ---------------------------------------------------------------------------
 # the polynomial
 
@@ -687,7 +671,9 @@ def alexander(pd: PlanarDiagram) -> LaurentPoly:
     """
     if pd.crossing_count == 0:
         return LaurentPoly.one()
-    det = _det_up_to_units(_wirtinger_rows(pd))
+    dense = _dense_core(_wirtinger_rows(pd))
+    # the determinant up to a unit +-t^k, which normalize() removes
+    det = LaurentPoly() if dense is None else LaurentPoly(enumerate(_core_det(dense)))
     if not det:
         raise ArithmeticError("singular Alexander matrix: malformed diagram")
     if det.span % 2:  # `_core_det` rules this out; normalize() could not centre it

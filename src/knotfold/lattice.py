@@ -13,16 +13,16 @@ fold keeps the knot type while shrinking the edge count.
 
 A fold walks its input's sticks in maximal same-axis runs and emits the
 folded curve as a cyclic corner list, one to three corners per run; the
-lowering of a crease stick drops two corners, and only the lowered sticks
-are then tested against the rest of the curve.  Self-avoidance is tested on
-sticks, never on unit points: stick i covers the closed integer interval
-from corner i to one step before corner i + 1, and the curve is
-self-avoiding exactly when those covered sets are pairwise disjoint.
-Collinear overlaps are found by sorting each line's intervals and
-perpendicular hits by a plane sweep, so a self-avoiding curve of n sticks
-passes in O(n log n), whatever the sticks' lengths.  The same sweep finds
-the crossings of a knot's projection for `alexander.project`.  No
-floating point appears anywhere in this module.
+lowering of a crease stick drops two corners, and each fold's final cycle,
+the lowered one for the horizontal fold, is swept for collisions once.
+Self-avoidance is tested on sticks, never on unit points: stick i covers
+the closed integer interval from corner i to one step before corner
+i + 1, and the curve is self-avoiding exactly when those covered sets are
+pairwise disjoint.  Collinear overlaps are found by sorting each line's
+intervals and perpendicular hits by a plane sweep, so a self-avoiding
+curve of n sticks passes in O(n log n), whatever the sticks' lengths.
+The same sweep finds the crossings of a knot's projection for
+`alexander.project`.  No floating point appears anywhere in this module.
 """
 
 from __future__ import annotations
@@ -439,28 +439,30 @@ def _fold_walk(k, axis, line, level, side):
 def _fold_check(folded, bridged, axis, line) -> None:
     """Raise unless the cycle _fold_walk made is self-avoiding.
 
-    The cycle is tested once, by the covered intervals of its sticks (see
+    The cycle is swept once, by the covered intervals of its sticks (see
     _meetings).  A collision raises ReconnectFailure, naming the least
     point visited twice, when a point visited twice lies on a bridge's
-    column, and FoldCollision otherwise.
+    column, and FoldCollision otherwise.  Only a cycle with bridges needs
+    every meeting; without them the sweep stops at the first.
     """
-    hits = list(_meetings(sticks_of(LatticeKnot(folded))))
-    if not hits:
-        return
-    n = len(folded)
-    bridged = set(bridged)
+    hits = _meetings(sticks_of(LatticeKnot(folded)))
+    if bridged:
+        hits = list(hits)
+        n = len(folded)
+        bridged = set(bridged)
 
-    def on_bridge(s, lo, hi):
-        # a bridge's column is its z-stick's covered set and the first
-        # point of the stick after it
-        return s in bridged or (
-            (s - 1) % n in bridged and all(u <= v <= w for u, v, w in zip(lo, folded[s], hi))
-        )
+        def on_bridge(s, lo, hi):
+            # a bridge's column is its z-stick's covered set and the first
+            # point of the stick after it
+            return s in bridged or (
+                (s - 1) % n in bridged and all(u <= v <= w for u, v, w in zip(lo, folded[s], hi))
+            )
 
-    least = min(lo for _, _, lo, _ in hits)
-    if any(on_bridge(s, lo, hi) for i, j, lo, hi in hits for s in (i, j)):
-        raise ReconnectFailure(f"broken-stick bridge collides with existing geometry at {least}")
-    raise FoldCollision(f"fold about the {'xy'[axis]}-line {line} left coincident lattice points")
+        if any(on_bridge(s, lo, hi) for i, j, lo, hi in hits for s in (i, j)):
+            least = min(lo for _, _, lo, _ in hits)
+            raise ReconnectFailure(f"broken-stick bridge collides with existing geometry at {least}")
+    if next(iter(hits), None) is not None:
+        raise FoldCollision(f"fold about the {'xy'[axis]}-line {line} left coincident lattice points")
 
 
 def _fold(k, axis, line, level, side):
@@ -489,52 +491,14 @@ def _vertical_delta(k, g, side):
     return 6 * len(bridged) - removed
 
 
-def _lowering_meets(corners, cols) -> bool:
-    """Whether a lowered stick lands on the rest of its cycle.
-
-    ``corners`` is a cycle that was self-avoiding until its z=2 y-sticks
-    at the x-levels ``cols`` were lowered onto z-level 1.  The lowering took
-    points off the curve and put back only the open interiors of the
-    lowered sticks, so the lowered cycle is self-avoiding exactly when no
-    other stick meets such an interior.  A stick's end corner is also the
-    start of the next stick, so sticks can be tested as closed segments.
-    Every y-stick on z-level 1 at those x-levels is tested, the lowered
-    ones among them, each against every other stick: O(n) per tested
-    stick, with no sort.
-    """
-    sticks = list(zip(corners, corners[1:] + corners[:1]))
-    for i, (a, b) in enumerate(sticks):
-        col = a[0]
-        if not (a[2] == b[2] == 1 and b[0] == col and col in cols and abs(b[1] - a[1]) > 1):
-            continue
-        lo, hi = min(a[1], b[1]) + 1, max(a[1], b[1]) - 1
-        for j, (p, q) in enumerate(sticks):
-            if (
-                (p[0] <= col <= q[0] or q[0] <= col <= p[0])
-                and (p[2] <= 1 <= q[2] or q[2] <= 1 <= p[2])
-                and (p[1] <= hi and lo <= q[1] if p[1] <= q[1] else q[1] <= hi and lo <= p[1])
-                and j != i
-            ):
-                return True
-    return False
-
-
-def _fold_finish(k, corners, axis, line, side, removed, lowered, broken):
+def _fold_finish(k, corners, axis, line, side, removed, removed_z, broken):
     """Canonical knot and reconciled report of a fold whose output cycle is corners.
 
-    The fold has tested its own cycle for collisions.  When it then lowered
-    the y-sticks at the x-levels ``lowered``, each saving two z-edges,
-    only those sticks can land on the curve, so _lowering_meets tests just
-    their interiors.  If it finds a meeting, validate_lattice names the
-    point visited twice; the two must agree.  The per-axis edge counts
-    must reconcile with the removed edges, the lowering and the bridges.
+    The fold has swept its output cycle for collisions (_fold_check).  The
+    per-axis edge counts must reconcile with the removed doubled edges, the
+    removed_z z-edges that lowering saved and the bridges.
     """
     knot = canonicalize(LatticeKnot(tuple(corners)))
-    if lowered and _lowering_meets(corners, lowered):
-        context = f"fold about the {'xy'[axis]}-line {line} broke an invariant"
-        _require_valid(knot, context)
-        raise FoldCollision(f"{context}: a lowered stick meets the curve, yet the curve validates")
-    removed_z = 2 * len(lowered)
     report = FoldReport(
         fold_axis="xy"[axis],
         side=side,
@@ -571,20 +535,31 @@ def fold_horizontal(
 
     The input must be self-avoiding.  That precondition is not checked:
     run_pipeline's input here is settle's output, which settle has checked.
-    The folded curve is swept for collisions before the lowering, and
-    after it only the lowered sticks are tested (see _fold_finish); but a
+    The lowered cycle is swept for collisions once (_fold_check), but a
     fold can remove the very overlap that made an input invalid.
+
+    The unlowered curve is then self-avoiding as well.  The input's corners
+    lie on z-levels 1 and 2, which is checked, and an x-stick off z-level 1
+    makes the walk raise; so at z=2 the unlowered cycle has only y-sticks
+    and the upper ends of unit z-sticks, and each of its z=2 points is a
+    corner or lies on a y-stick between two at its x-level.  _lower_stick
+    requires exactly one z=2 stick, with two adjacent corners, at each
+    lowered x-level, so the z=2 points that lowering removes are visited
+    once.  Every other point of the unlowered cycle is visited at least as
+    often by the lowered cycle, which the sweep has passed.
     """
     xf = _fold_line(g, side)
     # the corners' levels bound the points' levels, and {1, 2} has no gap
     if not {c[2] for c in k.corners} <= {1, 2}:
         raise ValueError("fold_horizontal expects a settled knot on z-levels 1 and 2")
-    unlowered, removed, _ = _fold(k, 0, xf, 1, side)
+    # with no x-stick two levels below the fold plane, nothing is bridged
+    unlowered, removed, _ = _fold_walk(k, 0, xf, 1, side)
     cols = _crease_columns(g, side)
     corners = unlowered
     for col in cols:
         corners = _lower_stick(corners, col)
-    knot, report = _fold_finish(k, corners, 0, xf, side, removed, cols, 0)
+    _fold_check(corners, (), 0, xf)
+    knot, report = _fold_finish(k, corners, 0, xf, side, removed, 2 * len(cols), 0)
     return knot, report, canonicalize(LatticeKnot(unlowered))
 
 
@@ -606,7 +581,7 @@ def fold_vertical(k: LatticeKnot, g: int, side: str) -> tuple[LatticeKnot, FoldR
     if not {c[2] for c in k.corners} <= {0, 1, 2}:
         raise ValueError("fold_vertical expects a horizontally folded knot on z-levels 0..2")
     corners, removed, broken = _fold(k, 1, yf, 2, side)
-    return _fold_finish(k, corners, 1, yf, side, removed, (), broken)
+    return _fold_finish(k, corners, 1, yf, side, removed, 0, broken)
 
 
 # ---------------------------------------------------------------------------

@@ -39,18 +39,11 @@ class LaurentPoly:
     def const(cls, n: int) -> "LaurentPoly":
         return cls({0: n})
 
-    @classmethod
-    def t(cls, k: int = 1, coeff: int = 1) -> "LaurentPoly":
-        return cls({k: coeff})
-
     # -- basic protocol ------------------------------------------------
 
     @property
     def coeffs(self) -> dict[int, int]:
         return dict(self._c)
-
-    def coeff(self, k: int) -> int:
-        return self._c.get(k, 0)
 
     def __bool__(self) -> bool:
         return bool(self._c)
@@ -130,17 +123,6 @@ class LaurentPoly:
     @property
     def span(self) -> int:
         return 0 if not self._c else self.max_exp - self.min_exp
-
-    def is_unit_monomial(self) -> bool:
-        """True for +-t**k, the units of the Laurent ring with coefficient 1."""
-        return len(self._c) == 1 and abs(next(iter(self._c.values()))) == 1
-
-    def is_palindromic(self) -> bool:
-        """True when coefficients satisfy a(k) == a(-k) after centering."""
-        if not self._c:
-            return True
-        s = self.min_exp + self.max_exp
-        return all(v == self._c.get(s - k, 0) for k, v in self._c.items())
 
     def normalize(self) -> "LaurentPoly":
         """Canonical representative of {+-t^k * p}.

@@ -242,7 +242,7 @@ def dense_core_oracle(rows: dict[int, dict[int, LaurentPoly]]):
         pivot_row = rows.pop(r0)
         pivot = pivot_row[c0]
         k = pivot.min_exp
-        coef = pivot.coeff(k)  # +-1
+        coef = pivot.coeffs[k]  # +-1
         for c in pivot_row:
             col_rows[c].discard(r0)
         for r in list(col_rows.get(c0, ())):
@@ -270,7 +270,7 @@ def dense_core_oracle(rows: dict[int, dict[int, LaurentPoly]]):
                 singular = True
                 break
             for c, val in row.items():
-                if val.is_unit_monomial():
+                if [*val.coeffs.values()] in ([1], [-1]):
                     cost = (len(col_rows[c]) - 1) * (len(row) - 1)
                     cand = (cost, r, c)
                     if best is None or cand < best:
@@ -296,8 +296,8 @@ def dense_core_oracle(rows: dict[int, dict[int, LaurentPoly]]):
             if p is None:
                 row_lists.append([])
             else:
-                q = p.shift(-shift)
-                row_lists.append([q.coeff(e) for e in range(q.max_exp + 1)])
+                q = p.shift(-shift).coeffs
+                row_lists.append([q.get(e, 0) for e in range(max(q) + 1)])
         dense.append(row_lists)
     return dense
 

@@ -1,15 +1,15 @@
 import pytest
 
+from knotfold import lattice
 from knotfold.errors import DegenerateCurve, FoldCollision, MalformedInput
 from knotfold.grid import parse_grid, random_grid
 from knotfold.lattice import (
     LatticeKnot,
-    _crease_columns,
     _fold,
+    _fold_check,
     _fold_finish,
     _fold_line,
     _lower_stick,
-    _lowering_meets,
     _require_valid,
     canonicalize,
     edge_census,
@@ -155,6 +155,23 @@ class TestFoldVertical:
         assert "lattice point (3, 1, 2) visited twice" in str(validate_lattice(k))
         with pytest.raises(ValueError, match="runs back along the stick before it"):
             fold_vertical(k, 3, "high")
+
+    def test_collision_without_bridges_stops_at_the_first_meeting(self, monkeypatch):
+        # 400 laps of one rectangle: every stick meets 399 others, but a
+        # cycle with no bridge needs only the first meeting to refuse
+        drawn = []
+        meetings = lattice._meetings
+
+        def counted(sticks):
+            for hit in meetings(sticks):
+                drawn.append(hit)
+                yield hit
+
+        monkeypatch.setattr(lattice, "_meetings", counted)
+        k = LatticeKnot(((0, 0, 2), (0, 5, 2), (1, 5, 2), (1, 0, 2)) * 400)
+        with pytest.raises(FoldCollision, match="left coincident lattice points"):
+            fold_vertical(k, 5, "high")
+        assert len(drawn) <= 1
 
     def test_broken_stick_accounting(self):
         for g in range(2, 11):
@@ -374,41 +391,44 @@ class TestFoldFinishErrors:
             ((0, 0, 1), (0, 4, 1), (4, 4, 1), (4, 5, 1), (4, 5, 2), (4, 0, 2), (4, 0, 1))
         )
         lowered = _lower_stick(_fold(k, 0, 4, 1, "low")[0], 4)
-        with pytest.raises(FoldCollision) as want:
-            _require_valid(
-                canonicalize(LatticeKnot(lowered)), "fold about the x-line 4 broke an invariant"
-            )
+        with pytest.raises(FoldCollision, match=r"lattice point \(4, 4, 1\) visited twice"):
+            _require_valid(canonicalize(LatticeKnot(lowered)), "lowered")
         with pytest.raises(FoldCollision) as got:
             fold_horizontal(k, 7, "low")
-        assert str(got.value) == str(want.value) == (
-            "fold about the x-line 4 broke an invariant: "
-            "SelfIntersection: lattice point (4, 4, 1) visited twice"
-        )
+        assert str(got.value) == "fold about the x-line 4 left coincident lattice points"
 
     def test_two_unit_jump_still_valid(self):
         # the two-unit stick (0, 0, 0) -> (2, 0, 0) carries an extra collinear
         # corner; the corner cycle still traces the square
         corners = [(0, 0, 0), (1, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 0)]
         square = LatticeKnot(((0, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 0)))
-        knot, report = _fold_finish(square, corners, 0, 1, "high", 0, (), 0)
+        knot, report = _fold_finish(square, corners, 0, 1, "high", 0, 0, 0)
         assert knot == canonicalize(square)
         assert report.pre == report.post == edge_census(square)
 
 
+def _assert_horizontal_folds_valid(k1, g):
+    """Both curves of each fold_horizontal that passes are self-avoiding."""
+    for side in ("high", "low"):
+        try:
+            knot, _, unlowered = fold_horizontal(k1, g, side)
+        except FoldCollision:
+            continue
+        assert validate_lattice(knot).ok, side
+        assert validate_lattice(unlowered).ok, side
+
+
 class TestLoweringCheck:
-    """_lowering_meets against validate_lattice on the whole lowered knot."""
+    """fold_horizontal sweeps its lowered cycle once; both curves it returns validate."""
 
     @pytest.mark.parametrize("g", range(2, 41))
     def test_agrees_with_validate_lattice_on_random_grids(self, g):
         for seed in range(10):
-            k1 = settle(random_grid(g, seed))
-            for side in ("high", "low"):
-                cols = _crease_columns(g, side)
-                corners = _fold(k1, 0, _fold_line(g, side), 1, side)[0]
-                for col in cols:
-                    corners = _lower_stick(corners, col)
-                valid = validate_lattice(canonicalize(LatticeKnot(corners))).ok
-                assert _lowering_meets(corners, cols) == (not valid), (seed, side)
+            _assert_horizontal_folds_valid(settle(random_grid(g, seed)), g)
+
+    def test_agrees_with_validate_lattice_on_the_corpus(self, corpus):
+        for entry in corpus:
+            _assert_horizontal_folds_valid(settle(entry.diagram), entry.diagram.size)
 
     # Self-avoiding cycles whose z=2 y-stick at x=4 lowers onto z=1: the
     # lowered stick's open interior meets another stick in the first three
@@ -447,15 +467,14 @@ class TestLoweringCheck:
         assert validate_lattice(k).ok
         lowered = _lower_stick(list(corners), 4)
         report = validate_lattice(canonicalize(LatticeKnot(lowered)))
-        assert _lowering_meets(lowered, (4,)) == (point is not None) == (not report.ok)
+        assert (point is None) == report.ok
         if point is None:
-            knot, fold = _fold_finish(k, lowered, 0, 4, "high", 0, (4,), 0)
+            _fold_check(lowered, (), 0, 4)
+            knot, fold = _fold_finish(k, lowered, 0, 4, "high", 0, 2, 0)
             assert fold.post.z_edges == edge_census(k).z_edges - 2
             assert validate_lattice(knot).ok
         else:
             assert str(report) == f"SelfIntersection: lattice point {point} visited twice"
             with pytest.raises(FoldCollision) as err:
-                _fold_finish(k, lowered, 0, 4, "high", 0, (4,), 0)
-            assert str(err.value) == f"fold about the x-line 4 broke an invariant: {report}"
-            # a lowering at another x-level tests no stick here
-            assert not _lowering_meets(lowered, (5,))
+                _fold_check(lowered, (), 0, 4)
+            assert str(err.value) == "fold about the x-line 4 left coincident lattice points"

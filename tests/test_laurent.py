@@ -74,19 +74,6 @@ def test_normalize_rejects_odd_span():
         LaurentPoly({0: 1, 1: 1}).normalize()
 
 
-def test_palindromic():
-    assert LaurentPoly({-1: 1, 0: -1, 1: 1}).is_palindromic()
-    assert not LaurentPoly({-1: 2, 0: -1, 1: 1}).is_palindromic()
-    assert LaurentPoly.zero().is_palindromic()
-
-
-def test_unit_monomial():
-    assert LaurentPoly({3: 1}).is_unit_monomial()
-    assert LaurentPoly({-2: -1}).is_unit_monomial()
-    assert not LaurentPoly({0: 2}).is_unit_monomial()
-    assert not LaurentPoly({0: 1, 1: 1}).is_unit_monomial()
-
-
 def test_printing_examples():
     assert str(LaurentPoly({-1: 1, 0: -1, 1: 1})) == "t^-1 - 1 + t"
     assert str(LaurentPoly({0: 3})) == "3"
