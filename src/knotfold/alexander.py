@@ -17,7 +17,9 @@ enough primes, converted back to t, and recombined by the Chinese
 remainder theorem, with rigorous degree and coefficient bounds.  One
 point more per prime is a runtime self-test of the symmetry.  Each dense
 core is logged at DEBUG level: its rows, L, H, c, h = min(c - L, H - c),
-coefficient bound in bits and number of primes.
+coefficient bound in bits and number of primes.  numpy is imported inside
+the functions that evaluate a core of two or more rows, not with the
+module, so that commands which never meet such a core start without it.
 
 The matrix entries are plain ``{exponent: coefficient}`` dicts of ints,
 which the elimination updates in place; `alexander` makes a `LaurentPoly`
@@ -36,8 +38,6 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .diagram import PlanarDiagram, build_diagram
 from .errors import NoRegularShear
@@ -153,6 +153,8 @@ def _inverse_mod(x: np.ndarray, q: int) -> np.ndarray:
     Montgomery's batch inversion: one modular inverse of the product of the
     nonzero residues, then two passes of products.
     """
+    import numpy as np
+
     values = x.tolist()
     prefix, p = [], 1
     for v in values:
@@ -178,6 +180,8 @@ def _det_mod(a: np.ndarray, q: int) -> np.ndarray:
     _LAZY_STEPS steps.  A matrix that is singular modulo q meets a zero
     pivot column and its determinant comes out 0.
     """
+    import numpy as np
+
     m, count = a.shape[1:]
     det = np.ones(count, dtype=np.int64)
     odd = np.zeros(count, dtype=bool)
@@ -273,6 +277,8 @@ def _double_centre(det_at, q: int, lo: int, hi: int) -> int | None:
             with 2 lo <= e <= 2 hi, so the determinant is not symmetric;
             or if it is nonzero only at points of too small an order.
     """
+    import numpy as np
+
     nonzero = False
     for points in ([2], list(range(3, hi - lo + 4))):
         values = det_at(np.array(points + [pow(t0, -1, q) for t0 in points])).tolist()
@@ -312,6 +318,8 @@ def _symmetric_residues(values: np.ndarray, c: int, primes: list[int]) -> np.nda
         ArithmeticError: if the value at t = h + 2 disagrees, so that the
             determinant is not symmetric about c.
     """
+    import numpy as np
+
     qs = np.array(primes, dtype=np.int64)[:, None]
     n = values.shape[1] - 1  # interpolation nodes
     t = np.arange(1, n + 2, dtype=np.int64)
@@ -395,6 +403,12 @@ def _core_det(dense: list[list[list[int]]]) -> list[int]:
         if ends % 2 or any(det[k] != det[ends - k] for k in terms):
             raise ArithmeticError(f"core determinant self-test failed: {det} is not symmetric")
         return det
+    # imported here, not with the module: numpy and `logging` add to the
+    # start-up of every command, and only a core of two or more rows needs them
+    import logging
+
+    import numpy as np
+
     # divide each column by its lowest power of t; det gains their product
     shifts = [
         min(next(k for k, c in enumerate(e) if c) for e in col if e) for col in zip(*dense)
@@ -460,10 +474,6 @@ def _core_det(dense: list[list[list[int]]]) -> list[int]:
     h = min(c - lo, hi - c)
     if (h + 2) ** 2 >= primes[-1]:
         raise ArithmeticError(f"no prime left above {(h + 2) ** 2} for {h + 2} points")
-    # imported here, not with the module: `import logging` adds about 7 ms
-    # and 0.4 MB to every start-up, and only certify gets this far
-    import logging
-
     logging.getLogger(__name__).debug(
         "dense core: %d rows, degrees %d..%d, centre %d, h %d, coefficient bound %d bits,"
         " %d primes",

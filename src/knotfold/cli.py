@@ -67,6 +67,8 @@ def _parse_random_spec(text: str) -> tuple[int, int, int]:
         raise argparse.ArgumentTypeError(
             "random spec must look like g=7,seed=1,count=10"
         ) from exc
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"count must be at least 1, not {count}")
     return g, seed, count
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     DegenerateCurve,
@@ -49,6 +50,23 @@ class LatticeKnot:
 
     def __len__(self) -> int:
         return len(self.corners)
+
+    @cached_property
+    def sticks(self) -> tuple[tuple[int, tuple, tuple, int], ...]:
+        """Sticks as (axis, start, end, length) around the cycle."""
+        out = []
+        corners = self.corners
+        for p, q in zip(corners, corners[1:] + corners[:1]):
+            dx, dy, dz = q[0] - p[0], q[1] - p[1], q[2] - p[2]
+            if dx and not (dy or dz):
+                out.append((0, p, q, abs(dx)))
+            elif dy and not (dx or dz):
+                out.append((1, p, q, abs(dy)))
+            elif dz and not (dx or dy):
+                out.append((2, p, q, abs(dz)))
+            else:
+                raise ValueError(f"corners {p} -> {q} do not span an axis stick")
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -84,27 +102,11 @@ class FoldReport:
     post: EdgeCensus
 
 
-def sticks_of(k: LatticeKnot) -> list[tuple[int, tuple, tuple, int]]:
-    """Sticks as (axis, start, end, length) around the cycle."""
-    out = []
-    for p, q in zip(k.corners, k.corners[1:] + k.corners[:1]):
-        dx, dy, dz = q[0] - p[0], q[1] - p[1], q[2] - p[2]
-        if dx and not (dy or dz):
-            out.append((0, p, q, abs(dx)))
-        elif dy and not (dx or dz):
-            out.append((1, p, q, abs(dy)))
-        elif dz and not (dx or dy):
-            out.append((2, p, q, abs(dz)))
-        else:
-            raise ValueError(f"corners {p} -> {q} do not span an axis stick")
-    return out
-
-
 def edge_census(k: LatticeKnot) -> EdgeCensus:
     """Count unit edges, sticks, and corners per axis."""
     edges = [0, 0, 0]
     sticks = [0, 0, 0]
-    for axis, _p, _q, length in sticks_of(k):
+    for axis, _p, _q, length in k.sticks:
         edges[axis] += length
         sticks[axis] += 1
     return EdgeCensus(
@@ -198,7 +200,7 @@ def _orthogonal_hits(along_a, along_b):
 def _meetings(sticks):
     """Yield (i, j, lo, hi) for every pair of sticks i < j whose covered sets meet.
 
-    ``sticks`` is sticks_of(k).  Stick i covers the lattice points from its
+    ``sticks`` is k.sticks.  Stick i covers the lattice points from its
     start corner to one step before its end corner, a closed integer
     interval along its axis; lo and hi are the least and greatest points
     the pair has in common.  Collinear pairs come from sorting each line's
@@ -266,7 +268,7 @@ def validate_lattice(k: LatticeKnot) -> ValidationReport:
             report.add(code, f"segment {p} -> {q} changes {ndiff} coordinates")
             structural_ok = False
     if structural_ok:
-        sticks = sticks_of(k)
+        sticks = k.sticks
         if next(_meetings(sticks), None):
             # The second visit that comes first in trace order lies on the
             # least stick j that meets an earlier stick.  Sticks 0..j-1 are
@@ -396,7 +398,7 @@ def _fold_walk(k, axis, line, level, side):
     def image(p):
         return rotate(p) if beyond(p) else p
 
-    sticks = sticks_of(k)
+    sticks = k.sticks
     # (axis, first corner) of each run
     runs = []
     for (a0, p0, q0, _), (a1, p1, q1, _) in zip(sticks[-1:] + sticks, sticks):
@@ -445,7 +447,7 @@ def _fold_check(folded, bridged, axis, line) -> None:
     column, and FoldCollision otherwise.  Only a cycle with bridges needs
     every meeting; without them the sweep stops at the first.
     """
-    hits = _meetings(sticks_of(LatticeKnot(folded)))
+    hits = _meetings(LatticeKnot(folded).sticks)
     if bridged:
         hits = list(hits)
         n = len(folded)

@@ -24,7 +24,8 @@ The pieces become arrays once per scan, and the candidate pairs are
 measured in chunks of fixed size.  Straight-straight and arc-straight
 pairs go through exact batched kernels.  Arc-arc pairs first pass a
 batched five-sample screen; only the pairs it cannot rule out reach the
-scalar arc-arc kernel.
+scalar arc-arc kernel.  numpy is imported inside the scan's functions,
+not with the module, so that commands which never scan start without it.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, zip_longest
-
-import numpy as np
 
 from .bounds import PiExpr
 from .errors import BadDensity, DegenerateKnot, MalformedInput
@@ -181,6 +180,8 @@ def _point_arc_dist(p, arc: ArcPiece) -> float:
 
 def _seg_seg_batch(p1, q1, p2, q2):
     """Vectorized exact segment/segment distances (rows are 3-vectors)."""
+    import numpy as np
+
     d1 = q1 - p1
     d2 = q2 - p2
     r = p1 - p2
@@ -220,6 +221,8 @@ def _point_arc_batch(w, u, v):
     may differ in the last bit.  rho = 0 needs no branch, since then the
     clamped cosine is 1 and the general formula reduces to 1 + h2.
     """
+    import numpy as np
+
     wu = w[:, 0] * u[:, 0] + w[:, 1] * u[:, 1] + w[:, 2] * u[:, 2]
     wv = w[:, 0] * v[:, 0] + w[:, 1] * v[:, 1] + w[:, 2] * v[:, 2]
     h2 = w[:, 0] * w[:, 0] + w[:, 1] * w[:, 1] + w[:, 2] * w[:, 2] - wu * wu - wv * wv
@@ -231,6 +234,8 @@ def _point_arc_batch(w, u, v):
 
 def _point_seg_batch(p, a, b):
     """Distances from points to segments of positive length, one row each."""
+    import numpy as np
+
     ab, ap = b - a, p - a
     denom = ab[:, 0] * ab[:, 0] + ab[:, 1] * ab[:, 1] + ab[:, 2] * ab[:, 2]
     t = (ap[:, 0] * ab[:, 0] + ap[:, 1] * ab[:, 1] + ap[:, 2] * ab[:, 2]) / denom
@@ -261,6 +266,8 @@ def _arc_seg_batch(c, u, v, a, b):
     the integer sum of the others unless that sum is 0; then |k| = 1,
     h = 0, and a crossing candidate gives exactly 0.
     """
+    import numpy as np
+
     rows = np.arange(len(c))
     n = np.argmin(np.abs(u) + np.abs(v), axis=1)  # the arc plane's normal axis
     an, bn, cn = a[rows, n], b[rows, n], c[rows, n]
@@ -373,6 +380,8 @@ def _arc_arc_screen(c1, u1, v1, c2, u2, v2):
     """`_arc_arc_dist`'s sampled distance on rows of arc pairs: the least
     distance from arc 2's start, its points at pi/8, pi/4 and 3pi/8, and its
     end to arc 1."""
+    import numpy as np
+
     best = _point_arc_batch(c2 + u2 - c1, u1, v1)
     for ct, st in _SCREEN_TRIG:
         best = np.minimum(best, _point_arc_batch(c2 + ct * u2 + st * v2 - c1, u1, v1))
@@ -525,6 +534,8 @@ _CHUNK = 4096  # candidate pairs per batch, which bounds the kernels' scratch me
 def _piece_arrays(pieces) -> tuple[np.ndarray, ...]:
     """The pieces as int64 rows of 3-vectors, one row per stick: arc center,
     u and v (the arcs are the even pieces), straight start and end (the odd)."""
+    import numpy as np
+
     rows = [(*a.center, *a.u, *a.v, *b.start, *b.end) for a, b in zip(pieces[0::2], pieces[1::2])]
     table = np.array(rows, dtype=np.int64).reshape(-1, 5, 3)
     return tuple(table[:, k] for k in range(5))
@@ -536,6 +547,8 @@ def _piece_boxes(center, u, v, start, end) -> tuple[np.ndarray, np.ndarray]:
     An arc's box is its center +-1 in its plane and its center along the
     normal; a straight's box spans its two endpoints.
     """
+    import numpy as np
+
     ext = np.abs(u) + np.abs(v)
     lo = np.empty((2 * len(center), 3), dtype=np.int64)
     hi = np.empty_like(lo)
@@ -556,6 +569,8 @@ def _near_pairs(lo: np.ndarray, hi: np.ndarray, r: int) -> tuple[np.ndarray, np.
     sixteenth of the mean box size (summed over the axes), so a few very
     long pieces cannot file an unbounded number of cells.
     """
+    import numpy as np
+
     n = len(lo)
     min_side = -(-int((hi - lo).sum()) // (16 * n))
     cell = 2 * max(_CELL, r, min_side)  # in half units, so r may be odd
@@ -609,6 +624,8 @@ def _scan_pairs(pieces, arrays, i: np.ndarray, j: np.ndarray, r: int) -> float:
     closed form for parallel planes) in order of the lower bound
     |c1 - c2| - 2, against the running minimum.
     """
+    import numpy as np
+
     center, u, v, start, end = arrays
     arc, seg = (center, u, v), (start, end)
     kind = (i % 2) + 2 * (j % 2)  # 0 arc-arc, 1 seg-arc, 2 arc-seg, 3 seg-seg
@@ -674,6 +691,8 @@ def _min_self_distance(s: SmoothKnot) -> float:
     the scan; r stops at the extent of the knot's box, where every pair
     is a candidate.
     """
+    import numpy as np
+
     pieces = s.pieces
     n = len(pieces)
     m = n // 2  # sticks

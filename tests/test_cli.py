@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -334,13 +338,27 @@ def test_unknown_corpus_name_exit_2(tmp_path, capsys):
     assert "no corpus entry" in stderr
 
 
-@pytest.mark.parametrize("spec", ["g=5,coutn=3", "g=5,g=7", "g=5,seed=1,seed=2", "g=5,", "x"])
+@pytest.mark.parametrize(
+    "spec", ["g=5,coutn=3", "g=5,g=7", "g=5,seed=1,seed=2", "g=5,", "x", "g=5,count=0", "g=5,count=-2"]
+)
 def test_bad_random_spec_usage_error(tmp_path, capsys, spec):
     out = tmp_path / "o"
     with pytest.raises(SystemExit) as exc:
         main(["build", "--random", spec, "--out", str(out)])
     assert exc.value.code == 2
     assert "argument --random" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_random_count_beside_corpus_is_a_usage_error(tmp_path, capsys):
+    # a count below 1 must not leave the --corpus inputs to run on their own
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--corpus", "3_1", "--random", "g=7,seed=1,count=-5", "--out", str(out)])
+    assert exc.value.code == 2
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert "count must be at least 1" in stderr
     assert not out.exists()
 
 
@@ -365,3 +383,50 @@ def test_main_calls_in_one_process_keep_their_own_inputs(tmp_path, capsys):
     assert sorted(p.name for p in first.iterdir()) == files("3_1", "five")
     assert sorted(p.name for p in second.iterdir()) == files("4_1", "five")
     assert (second / "five.reports.txt").read_text() == (first / "five.reports.txt").read_text()
+
+
+_STARTUP_SCRIPT = """
+import sys
+bare = set(sys.modules)
+import json
+from pathlib import Path
+
+def added():
+    return sorted({"numpy", "logging"} & (set(sys.modules) - bare))
+
+out = Path(sys.argv[1])
+stages, codes = {}, []
+import knotfold, knotfold.cli
+knotfold.load_corpus()
+stages["import"] = added()
+codes.append(knotfold.cli.main(["build", "--corpus", "all", "--out", str(out / "lat")]))
+lattice = []
+for path in sorted((out / "lat").glob("*.step*.*")):
+    lattice += ["--lattice", str(path)]
+codes.append(knotfold.cli.main(["certify", *lattice, "--out", str(out / "lat-cert")]))
+codes.append(knotfold.cli.main(["certify", "--corpus", "3_1", "--out", str(out / "cert")]))
+stages["numpy-free commands"] = added()
+codes.append(knotfold.cli.main(["certify", "--corpus", "t3_5", "--out", str(out / "t3_5")]))
+stages["t3_5"] = added()
+print(json.dumps({"codes": codes, "files": len(lattice) // 2, "stages": stages}))
+"""
+
+
+def test_startup_and_numpy_free_commands_load_no_numpy(tmp_path):
+    # the pytest process has numpy already, so a fresh interpreter runs the
+    # commands and reports which of numpy and logging they added to the
+    # modules it started with
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", _STARTUP_SCRIPT, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report["codes"] == [0, 0, 0, 0]
+    assert report["files"] == 48  # 8 corpus knots, 3 steps, text and JSON
+    assert report["stages"]["import"] == []
+    assert report["stages"]["numpy-free commands"] == []
+    # t3_5 has a dense core of two or more rows, so the guard can see numpy
+    assert "numpy" in report["stages"]["t3_5"]
