@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 from . import corpus as corpus_mod
@@ -30,16 +30,6 @@ from .lattice import parse_lattice, serialize_lattice, validate_lattice
 from .laurent import LaurentPoly
 from .pipeline import run_pipeline
 from .rope import check_density, export_geometry, rope_metrics, smooth
-
-
-@dataclass(frozen=True)
-class InputSpec:
-    label: str
-    diagram: GridDiagram
-    crossing_number: int | None = None
-    nonalternating_prime: bool = False
-    known_minimum_edges: int | None = None
-    expected_alexander: LaurentPoly | None = None
 
 
 def _steps_arg(text: str) -> int:
@@ -80,8 +70,9 @@ def _read_input(path: str) -> str:
         raise MalformedInput(f"{path} is not UTF-8 text: {exc}") from exc
 
 
-def _resolve_inputs(args) -> list[InputSpec]:
-    specs: list[InputSpec] = []
+def _resolve_inputs(args) -> list[tuple[Provenance, GridDiagram, LaurentPoly | None]]:
+    """Each input's provenance (step None), diagram and expected Alexander polynomial."""
+    inputs = []
     if args.corpus:
         names = []
         for chunk in args.corpus:
@@ -90,25 +81,24 @@ def _resolve_inputs(args) -> list[InputSpec]:
             names = corpus_mod.corpus_names()
         for name in names:
             entry = corpus_mod.get_entry(name)
-            specs.append(
-                InputSpec(
-                    label=entry.name,
-                    diagram=entry.diagram,
-                    crossing_number=entry.crossing_number,
-                    nonalternating_prime=entry.nonalternating_prime,
-                    known_minimum_edges=entry.known_minimum_edges,
-                    expected_alexander=entry.alexander,
-                )
+            prov = Provenance(
+                label=entry.name,
+                g=entry.g,
+                crossing_number=entry.crossing_number,
+                nonalternating_prime=entry.nonalternating_prime,
+                known_minimum_edges=entry.known_minimum_edges,
             )
+            inputs.append((prov, entry.diagram, entry.alexander))
     for path in args.input or ():
-        specs.append(InputSpec(label=Path(path).stem, diagram=parse_grid(_read_input(path))))
+        diagram = parse_grid(_read_input(path))
+        inputs.append((Provenance(label=Path(path).stem, g=diagram.size), diagram, None))
     if args.random:
         g, seed, count = args.random
         for s in range(seed, seed + count):
-            specs.append(InputSpec(label=f"random_g{g}_s{s}", diagram=random_grid(g, s)))
-    if not specs:
+            inputs.append((Provenance(label=f"random_g{g}_s{s}", g=g), random_grid(g, s), None))
+    if not inputs:
         raise KnotfoldError("no inputs: use --corpus, --input, or --random")
-    return specs
+    return inputs
 
 
 def _add_input_args(p: argparse.ArgumentParser) -> None:
@@ -123,36 +113,70 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default="out", metavar="DIR", help="output directory")
 
 
-def _provenance_dict(spec: InputSpec, step: int, sides) -> dict:
-    prov = {
-        "source": spec.label,
-        "g": spec.diagram.size,
+def _provenance_dict(prov: Provenance, step: int, sides) -> dict:
+    """The lattice-file header of one stage; `_read_provenance` reads it back."""
+    header = {
+        "source": prov.label,
+        "g": prov.g,
         "step": step,
         "sides": ",".join(sides) if sides else "",
     }
-    if spec.crossing_number is not None:
-        prov["crossing_number"] = spec.crossing_number
-    if spec.nonalternating_prime:
-        prov["nonalternating_prime"] = "true"
-    if spec.known_minimum_edges is not None:
-        prov["known_minimum_edges"] = spec.known_minimum_edges
-    return prov
+    if prov.crossing_number is not None:
+        header["crossing_number"] = prov.crossing_number
+    if prov.nonalternating_prime:
+        header["nonalternating_prime"] = "true"
+    if prov.known_minimum_edges is not None:
+        header["known_minimum_edges"] = prov.known_minimum_edges
+    return header
+
+
+def _provenance_int(header: dict, key: str) -> int | None:
+    """An integer field of a lattice-file header, or None when absent."""
+    if key not in header:
+        return None
+    value = header[key]
+    try:
+        if isinstance(value, (int, str)) and not isinstance(value, bool):
+            return int(value)
+    except ValueError:
+        pass
+    raise MalformedInput(f"provenance {key} must be an integer, not {value!r}")
+
+
+def _read_provenance(header: dict, label: str) -> Provenance | None:
+    """The provenance, labelled `label`, that a lattice-file header records; None without g."""
+    g = _provenance_int(header, "g")
+    step = _provenance_int(header, "step")
+    if step not in (None, 1, 2, 3):
+        raise MalformedInput(f"provenance step must be 1, 2 or 3, not {step}")
+    if g is None:
+        return None
+    flag = header.get("nonalternating_prime")
+    if "nonalternating_prime" in header and flag != "true":
+        raise MalformedInput(f"provenance nonalternating_prime must be 'true', not {flag!r}")
+    return Provenance(
+        label=label,
+        g=g,
+        step=step,
+        crossing_number=_provenance_int(header, "crossing_number"),
+        nonalternating_prime=flag == "true",
+        known_minimum_edges=_provenance_int(header, "known_minimum_edges"),
+    )
 
 
 def cmd_build(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    specs = _resolve_inputs(args)
-    for spec in specs:
-        result = run_pipeline(spec.diagram, max_step=args.steps)
+    for prov, diagram, _ in _resolve_inputs(args):
+        result = run_pipeline(diagram, max_step=args.steps)
         report_lines = []
         for step in sorted(result.stages):
             stage = result.stages[step]
-            prov = _provenance_dict(spec, step, stage.sides)
-            base = out / f"{spec.label}.step{step}"
-            base.with_name(base.name + ".txt").write_text(serialize_lattice(stage.knot, prov))
+            header = _provenance_dict(prov, step, stage.sides)
+            base = out / f"{prov.label}.step{step}"
+            base.with_name(base.name + ".txt").write_text(serialize_lattice(stage.knot, header))
             base.with_name(base.name + ".json").write_text(
-                serialize_lattice(stage.knot, prov, form="json") + "\n"
+                serialize_lattice(stage.knot, header, form="json") + "\n"
             )
             c = stage.census
             report_lines.append(
@@ -167,39 +191,30 @@ def cmd_build(args) -> int:
                     f"broken sticks {r.broken_sticks_reconnected} "
                     f"(+{r.added_y_edges}y +{r.added_z_edges}z)"
                 )
-        (out / f"{spec.label}.reports.txt").write_text("\n".join(report_lines) + "\n")
+        (out / f"{prov.label}.reports.txt").write_text("\n".join(report_lines) + "\n")
         totals = " ".join(
             f"step{k}={result.stages[k].census.total_edges}" for k in sorted(result.stages)
         )
-        print(f"{spec.label}: g={spec.diagram.size} {totals}")
+        print(f"{prov.label}: g={prov.g} {totals}")
     return 0
 
 
-def _certify_spec(spec: InputSpec, max_step: int):
-    result = run_pipeline(spec.diagram, max_step=max_step)
-    base_poly = alexander(grid_to_planar(spec.diagram))
+def _certify_spec(prov: Provenance, diagram: GridDiagram, expected: LaurentPoly | None,
+                  max_step: int):
+    result = run_pipeline(diagram, max_step=max_step)
+    base_poly = alexander(grid_to_planar(diagram))
     corpus_check = None
-    if spec.expected_alexander is not None:
-        verdict = same_knot_certificate(base_poly, spec.expected_alexander)
+    if expected is not None:
+        verdict = same_knot_certificate(base_poly, expected)
         corpus_check = BoundCheck(
             "alexander_matches_corpus",
-            f"{base_poly} vs {spec.expected_alexander.normalize()}",
+            f"{base_poly} vs {expected.normalize()}",
             verdict == "consistent",
         )
     certificates = []
     for step in sorted(result.stages):
         stage = result.stages[step]
-        cert = certify(
-            stage.knot,
-            Provenance(
-                label=spec.label,
-                g=spec.diagram.size,
-                step=step,
-                crossing_number=spec.crossing_number,
-                nonalternating_prime=spec.nonalternating_prime,
-                known_minimum_edges=spec.known_minimum_edges,
-            ),
-        )
+        cert = certify(stage.knot, replace(prov, step=step))
         stage_poly = alexander(project(stage.knot))
         verdict = same_knot_certificate(base_poly, stage_poly)
         checks = cert.checks + (
@@ -213,62 +228,35 @@ def _certify_spec(spec: InputSpec, max_step: int):
     return certificates
 
 
-def _provenance_int(prov: dict, key: str) -> int | None:
-    """An integer provenance field of a lattice file, or None when absent."""
-    if key not in prov:
-        return None
-    value = prov[key]
-    try:
-        if isinstance(value, (int, str)) and not isinstance(value, bool):
-            return int(value)
-    except ValueError:
-        pass
-    raise MalformedInput(f"provenance {key} must be an integer, not {value!r}")
-
-
 def cmd_certify(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     all_pass = True
     if args.lattice:
         for path in args.lattice:
-            knot, prov = parse_lattice(_read_input(path))
-            label = prov.get("source", Path(path).stem)
-            g = _provenance_int(prov, "g")
-            step = _provenance_int(prov, "step")
-            if step not in (None, 1, 2, 3):
-                raise MalformedInput(f"provenance step must be 1, 2 or 3, not {step}")
-            if g is None:
+            knot, header = parse_lattice(_read_input(path))
+            label = header.get("source", Path(path).stem)
+            prov = _read_provenance(header, label)
+            if prov is None:
                 report = validate_lattice(knot)
                 ok = report.ok
                 print(f"{label}: {'PASS' if ok else 'FAIL ' + str(report)}")
                 all_pass &= ok
                 continue
-            cert = certify(
-                knot,
-                Provenance(
-                    label=label,
-                    g=g,
-                    step=step,
-                    crossing_number=_provenance_int(prov, "crossing_number"),
-                    nonalternating_prime=prov.get("nonalternating_prime") == "true",
-                    known_minimum_edges=_provenance_int(prov, "known_minimum_edges"),
-                ),
-            )
+            cert = certify(knot, prov)
             print(cert.render_text())
             all_pass &= cert.passed
         return 0 if all_pass else 1
-    specs = _resolve_inputs(args)
-    for spec in specs:
-        certificates = _certify_spec(spec, args.steps)
+    for prov, diagram, expected in _resolve_inputs(args):
+        certificates = _certify_spec(prov, diagram, expected, args.steps)
         text = "\n".join(c.render_text() for c in certificates) + "\n"
-        (out / f"{spec.label}.cert.txt").write_text(text)
-        (out / f"{spec.label}.cert.json").write_text(
+        (out / f"{prov.label}.cert.txt").write_text(text)
+        (out / f"{prov.label}.cert.json").write_text(
             json.dumps([c.as_dict() for c in certificates], indent=2, sort_keys=True) + "\n"
         )
         for cert in certificates:
             status = "PASS" if cert.passed else "FAIL"
-            print(f"{spec.label} step {cert.step}: {status} "
+            print(f"{prov.label} step {cert.step}: {status} "
                   f"(total edges {cert.census.total_edges})")
             all_pass &= cert.passed
     return 0 if all_pass else 1
@@ -279,15 +267,14 @@ def cmd_export(args) -> int:
         check_density(args.density)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    specs = _resolve_inputs(args)
-    for spec in specs:
-        result = run_pipeline(spec.diagram, max_step=args.steps)
+    for prov, diagram, _ in _resolve_inputs(args):
+        result = run_pipeline(diagram, max_step=args.steps)
         metric_lines = []
         for step in sorted(result.stages):
             stage = result.stages[step]
             sk = smooth(stage.knot)
             metrics = rope_metrics(sk)
-            base = out / f"{spec.label}.step{step}"
+            base = out / f"{prov.label}.step{step}"
             if args.format in ("polyline", "both"):
                 base.with_name(base.name + ".polyline.txt").write_text(
                     export_geometry(sk, "polyline", density=args.density)
@@ -297,13 +284,13 @@ def cmd_export(args) -> int:
                     export_geometry(sk, "arcs")
                 )
             line = (
-                f"{spec.label} step {step}: length {metrics.length:.12f} "
+                f"{prov.label} step {step}: length {metrics.length:.12f} "
                 f"thickness {metrics.thickness_radius:.12f} "
                 f"ropelength {metrics.ropelength:.12f} corners {metrics.corner_count}"
             )
             metric_lines.append(line)
             print(line)
-        (out / f"{spec.label}.metrics.txt").write_text("\n".join(metric_lines) + "\n")
+        (out / f"{prov.label}.metrics.txt").write_text("\n".join(metric_lines) + "\n")
     return 0
 
 
@@ -315,6 +302,8 @@ def _crossing_range(text: str) -> tuple[int, int]:
         hi_i = int(hi) if hi else lo_i
     except ValueError as exc:
         raise argparse.ArgumentTypeError("crossing range must look like 3..16") from exc
+    if lo_i > hi_i:
+        raise argparse.ArgumentTypeError(f"crossing range {lo_i}..{hi_i} is empty")
     return lo_i, hi_i
 
 

@@ -1,8 +1,11 @@
 """Integer Laurent polynomials in one variable t.
 
-Small, exact, dictionary-backed implementation.  The normalized form used
-for knot certificates centers the exponent range and fixes the sign so the
-value at t=1 is positive; that resolves the usual unit ambiguity of
+A small, exact, dictionary-backed value type: construction, evaluation at
+an integer, the normalized form, equality, printing and parsing.  It has
+no ring arithmetic; the engine computes on its own coefficient dicts and
+lists and wraps only the result.  The normalized form used for knot
+certificates centers the exponent range and fixes the sign so the value
+at t=1 is positive; that resolves the usual unit ambiguity of
 determinant-derived invariants.
 """
 
@@ -35,10 +38,6 @@ class LaurentPoly:
     def one(cls) -> "LaurentPoly":
         return cls({0: 1})
 
-    @classmethod
-    def const(cls, n: int) -> "LaurentPoly":
-        return cls({0: n})
-
     # -- basic protocol ------------------------------------------------
 
     @property
@@ -49,62 +48,21 @@ class LaurentPoly:
         return bool(self._c)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = LaurentPoly.const(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self._c == other._c
 
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self._c.items())))
+    def __call__(self, value: int):
+        """Evaluate at an int; t=0 requires no negative exponents.
 
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        c = dict(self._c)
-        for k, v in other._c.items():
-            c[k] = c.get(k, 0) + v
-        return LaurentPoly(c)
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        c = dict(self._c)
-        for k, v in other._c.items():
-            c[k] = c.get(k, 0) - v
-        return LaurentPoly(c)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({k: -v for k, v in self._c.items()})
-
-    def __mul__(self, other) -> "LaurentPoly":
-        if isinstance(other, int):
-            return LaurentPoly({k: v * other for k, v in self._c.items()})
-        c: dict[int, int] = {}
-        for k1, v1 in self._c.items():
-            for k2, v2 in other._c.items():
-                k = k1 + k2
-                c[k] = c.get(k, 0) + v1 * v2
-        return LaurentPoly(c)
-
-    __rmul__ = __mul__
-
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by t**k."""
-        return LaurentPoly({e + k: v for e, v in self._c.items()})
-
-    def __call__(self, value):
-        """Evaluate at a number (int or Fraction); t=0 requires no negative exponents.
-
-        At an int the value is taken in integers as num / t**-low, where low
-        is the least exponent or 0, whichever is smaller, and a Fraction is
-        built only when t**-low does not divide num.
+        The value is taken in integers as num / t**-low, where low is the
+        least exponent or 0, whichever is smaller, and a Fraction is built
+        only when t**-low does not divide num.
         """
-        if isinstance(value, int):
-            low = min([0, *self._c])
-            num = sum(v * value ** (k - low) for k, v in self._c.items())
-            den = value**-low
-            return num // den if num % den == 0 else Fraction(num, den)
-        total = Fraction(0)
-        for k, v in self._c.items():
-            total += v * Fraction(value) ** k
-        return total if total.denominator != 1 else int(total)
+        low = min([0, *self._c])
+        num = sum(v * value ** (k - low) for k, v in self._c.items())
+        den = value**-low
+        return num // den if num % den == 0 else Fraction(num, den)
 
     # -- structure -----------------------------------------------------
 
@@ -136,11 +94,9 @@ class LaurentPoly:
         s = self.min_exp + self.max_exp
         if s % 2 != 0:
             raise ValueError("exponent range cannot be centered; span is odd")
-        p = self.shift(-s // 2)
-        at_one = sum(p._c.values())
-        if at_one < 0 or (at_one == 0 and p._c[p.max_exp] < 0):
-            p = -p
-        return p
+        at_one = sum(self._c.values())
+        sign = -1 if at_one < 0 or (at_one == 0 and self._c[self.max_exp] < 0) else 1
+        return LaurentPoly({e - s // 2: sign * v for e, v in self._c.items()})
 
     # -- printing / parsing ---------------------------------------------
 

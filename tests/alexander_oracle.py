@@ -5,15 +5,16 @@ every row before each pivot, the dense core's determinant comes from
 fraction-free Bareiss elimination with exact polynomial division, and
 the projection tries six shears in turn and tests every pair of
 non-adjacent segments with general-position predicates on Fractions.
-It shares with the engine only `LaurentPoly`, the type of the
-determinant the engine returns and normalizes, and the diagram types
-and `build_diagram`, which numbers a signed Gauss code's crossings.
-It shares none of the elimination arithmetic: the engine eliminates on
-plain coefficient dicts and takes the core determinant modulo primes,
-where this oracle eliminates in `LaurentPoly` and runs Bareiss on its
-own integer coefficient lists.  Nor does it share the pivot queue, the
-pair prefilter or the crossing test: the engine projects with one shear
-and integer comparisons.
+Its elimination and Bareiss path shares no arithmetic with the engine:
+it builds a `LaurentPoly`, the type of the determinant the engine
+returns and normalizes, only from its final result.  Besides that type
+it shares the diagram types and `build_diagram`, which numbers a signed
+Gauss code's crossings.  The engine eliminates on its coefficient dicts
+and takes the core determinant modulo primes; this oracle eliminates
+with its own dict arithmetic and runs Bareiss on its own integer
+coefficient lists.  Nor does it share the pivot queue, the pair
+prefilter or the crossing test: the engine projects with one shear and
+integer comparisons.
 
 The file also keeps two engine functions as they were before the engine
 collapsed runs of under passes and evaluated the core determinant by its
@@ -227,12 +228,27 @@ def bareiss_det(mat: list[list[list[int]]]) -> list[int]:
     return mat[m - 1][m - 1]
 
 
-def dense_core_oracle(rows: dict[int, dict[int, LaurentPoly]]):
+def _dsub_mul(a: dict[int, int], f: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """a - f * b on {exponent: coefficient} dicts, zero terms dropped."""
+    out = dict(a)
+    for i, x in f.items():
+        for j, y in b.items():
+            out[i + j] = out.get(i + j, 0) - x * y
+    return {e: v for e, v in out.items() if v}
+
+
+def dense_core_oracle(rows: dict[int, dict[int, dict[int, int]]]):
     """Eliminate unit pivots by a full Markowitz rescan before every pivot.
 
-    Returns the dense core as coefficient lists (rows shifted to start at
-    exponent zero), [] when nothing is left, or None when singular.
+    Takes the engine's rows of {exponent: coefficient} entries and leaves
+    them unchanged.  Returns the dense core as coefficient lists (rows
+    shifted to start at exponent zero), [] when nothing is left, or None
+    when singular.
     """
+    rows = {
+        r: {c: {e: v for e, v in entry.items() if v} for c, entry in row.items()}
+        for r, row in rows.items()
+    }
     col_rows: dict[int, set[int]] = {}
     for r, row in rows.items():
         for c in row:
@@ -240,18 +256,16 @@ def dense_core_oracle(rows: dict[int, dict[int, LaurentPoly]]):
 
     def eliminate(r0: int, c0: int) -> None:
         pivot_row = rows.pop(r0)
-        pivot = pivot_row[c0]
-        k = pivot.min_exp
-        coef = pivot.coeffs[k]  # +-1
+        ((k, coef),) = pivot_row[c0].items()  # the pivot is +-t^k
         for c in pivot_row:
             col_rows[c].discard(r0)
         for r in list(col_rows.get(c0, ())):
             row = rows[r]
-            factor = row[c0].shift(-k) * coef  # entry / pivot
+            factor = {e - k: v * coef for e, v in row[c0].items()}  # entry / pivot
             for c, val in pivot_row.items():
                 if c == c0:
                     continue
-                newv = row.get(c, LaurentPoly.zero()) - factor * val
+                newv = _dsub_mul(row.get(c, {}), factor, val)
                 if newv:
                     row[c] = newv
                     col_rows.setdefault(c, set()).add(r)
@@ -270,7 +284,7 @@ def dense_core_oracle(rows: dict[int, dict[int, LaurentPoly]]):
                 singular = True
                 break
             for c, val in row.items():
-                if [*val.coeffs.values()] in ([1], [-1]):
+                if [*val.values()] in ([1], [-1]):
                     cost = (len(col_rows[c]) - 1) * (len(row) - 1)
                     cand = (cost, r, c)
                     if best is None or cand < best:
@@ -289,25 +303,23 @@ def dense_core_oracle(rows: dict[int, dict[int, LaurentPoly]]):
         return None
     dense = []
     for r in row_ids:
-        shift = min(p.min_exp for p in rows[r].values())
+        shift = min(min(p) for p in rows[r].values())
         row_lists = []
         for c in col_ids:
             p = rows[r].get(c)
             if p is None:
                 row_lists.append([])
             else:
-                q = p.shift(-shift).coeffs
-                row_lists.append([q.get(e, 0) for e in range(max(q) + 1)])
+                row_lists.append([p.get(e + shift, 0) for e in range(max(p) - shift + 1)])
         dense.append(row_lists)
     return dense
 
 
-def det_up_to_units_oracle(rows: dict[int, dict[int, LaurentPoly]]) -> LaurentPoly:
+def det_up_to_units_oracle(rows: dict[int, dict[int, dict[int, int]]]) -> LaurentPoly:
     dense = dense_core_oracle(rows)
     if dense is None:
         return LaurentPoly.zero()
     return LaurentPoly({e: v for e, v in enumerate(bareiss_det(dense))})
-
 
 
 # ---------------------------------------------------------------------------

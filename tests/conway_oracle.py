@@ -109,18 +109,28 @@ def conway_z(comps, memo=None) -> dict:
     return result
 
 
+def _times_zsq(f):
+    """Multiply a Laurent polynomial in t by z^2 = t - 2 + 1/t."""
+    out = _zadd({k + 1: v for k, v in f.items()}, {k - 1: v for k, v in f.items()})
+    return _zadd(out, {k: -2 * v for k, v in f.items()})
+
+
 def alexander_via_conway(pd: PlanarDiagram) -> LaurentPoly:
-    """Alexander polynomial through z^2 = t - 2 + 1/t substitution."""
+    """Alexander polynomial through z^2 = t - 2 + 1/t substitution.
+
+    Computes on its own {exponent: coefficient} dicts and builds a
+    `LaurentPoly` only from the result, so it shares no arithmetic with
+    the engine.
+    """
     nabla = conway_z(gauss_code(pd))
     assert all(k % 2 == 0 for k in nabla), "knot Conway polynomial has even powers"
-    zsq = LaurentPoly({1: 1, 0: -2, -1: 1})
-    total = LaurentPoly.zero()
+    total = {}
     for k, coef in nabla.items():
-        term = LaurentPoly.const(coef)
+        term = {0: coef}
         for _ in range(k // 2):
-            term = term * zsq
-        total = total + term
-    return total.normalize()
+            term = _times_zsq(term)
+        total = _zadd(total, term)
+    return LaurentPoly(total).normalize()
 
 
 def torus_alexander(p: int, q: int) -> LaurentPoly:

@@ -229,6 +229,50 @@ class TestCertify:
         assert code == 0
         assert "FAIL" not in stdout
 
+    @pytest.mark.parametrize(
+        "form,flag",
+        [("json", True), ("json", "yes"), ("txt", "yes")],
+        ids=["json-bool", "json-yes", "text-yes"],
+    )
+    def test_nonalternating_prime_other_than_true_exit_2(self, tmp_path, capsys, form, flag):
+        # t3_5 is nonalternating and prime; a flag the reader does not know
+        # must not fall back to the looser general bound
+        out = tmp_path / "o"
+        run(capsys, "build", "--corpus", "t3_5", "--out", str(out))
+        path = out / f"t3_5.step3.{form}"
+        code, stdout, _ = run(capsys, "certify", "--lattice", str(path), "--out", str(out))
+        assert code == 0 and "[thm_len_nap_b]" in stdout
+        if form == "json":
+            blob = json.loads(path.read_text())
+            blob["provenance"]["nonalternating_prime"] = flag
+            path.write_text(json.dumps(blob))
+        else:
+            text = path.read_text()
+            assert "# nonalternating_prime: true\n" in text
+            path.write_text(text.replace("# nonalternating_prime: true", f"# nonalternating_prime: {flag}"))
+        code, stdout, stderr = run(capsys, "certify", "--lattice", str(path), "--out", str(out))
+        assert code == 2
+        assert "MalformedInput" in stderr and "nonalternating_prime" in stderr
+        assert "PASS" not in stdout
+
+    def test_lattice_headers_certify_as_their_stage(self, tmp_path, capsys):
+        # every step file, text and JSON, certifies from its header alone as
+        # its stage did in certify --corpus, less the Alexander checks
+        out = tmp_path / "o"
+        assert run(capsys, "build", "--corpus", "all", "--out", str(out))[0] == 0
+        assert run(capsys, "certify", "--corpus", "all", "--out", str(out))[0] == 0
+        files = sorted(out.glob("*.step*.txt")) + sorted(out.glob("*.step*.json"))
+        assert len(files) == 48
+        for path in files:
+            label, step = path.name.split(".")[:2]
+            blocks = (out / f"{label}.cert.txt").read_text().split("certificate ")[1:]
+            block = next(b for b in blocks if b.startswith(f"{label} {step[:4]} {step[4:]}\n"))
+            want = [line for line in ("certificate " + block).splitlines()
+                    if not line.startswith("  [PASS] alexander_")]
+            code, stdout, _ = run(capsys, "certify", "--lattice", str(path), "--out", str(out))
+            assert code == 0, path.name
+            assert stdout.splitlines() == want, path.name
+
 
 class TestExport:
     def test_trefoil_step2_metrics(self, tmp_path, capsys):
@@ -320,6 +364,14 @@ class TestTable:
         code, stdout, _ = run(capsys, "table", "--table", "c=3")
         assert code == 0
         assert len(stdout.strip().splitlines()) == 2
+
+    def test_empty_range_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--table", "c=5..3"])
+        assert exc.value.code == 2
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert "argument --table" in stderr and "5..3" in stderr
 
 
 def test_build_from_grid_file(tmp_path, capsys):
