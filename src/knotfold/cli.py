@@ -154,7 +154,7 @@ def _read_provenance(header: dict, label: str) -> Provenance | None:
     flag = header.get("nonalternating_prime")
     if "nonalternating_prime" in header and flag != "true":
         raise MalformedInput(f"provenance nonalternating_prime must be 'true', not {flag!r}")
-    return Provenance(
+    prov = Provenance(
         label=label,
         g=g,
         step=step,
@@ -162,6 +162,20 @@ def _read_provenance(header: dict, label: str) -> Provenance | None:
         nonalternating_prime=flag == "true",
         known_minimum_edges=_provenance_int(header, "known_minimum_edges"),
     )
+    # Diao, J. Knot Theory Ramifications 2 (1993): a nontrivial lattice knot has 24 edges or more
+    floor = 24 if (prov.crossing_number or 0) >= 3 else 0
+    if prov.known_minimum_edges is not None and prov.known_minimum_edges < floor:
+        raise MalformedInput(f"provenance known_minimum_edges {prov.known_minimum_edges} is below {floor}")
+    # only --corpus writes these three fields, and then from the entry that `source` names
+    source = header.get("source")
+    entry = corpus_mod.find_entry(source) if isinstance(source, str) else None
+    claims = ("crossing_number", "nonalternating_prime", "known_minimum_edges")
+    if entry and header.keys() & set(claims):
+        wrong = [f"{f} {getattr(prov, f)!r} (corpus {getattr(entry, f)!r})"
+                 for f in ("g", *claims) if getattr(prov, f) != getattr(entry, f)]
+        if wrong:
+            raise MalformedInput(f"provenance disagrees with corpus entry {entry.name}: " + ", ".join(wrong))
+    return prov
 
 
 def cmd_build(args) -> int:

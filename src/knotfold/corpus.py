@@ -64,9 +64,14 @@ def corpus_names() -> list[str]:
     return [e.name for e in load_corpus()]
 
 
-def get_entry(name: str) -> CorpusEntry:
+def find_entry(name: str) -> CorpusEntry | None:
+    """The entry with this name or alias, in any case; None when there is none."""
     wanted = name.strip().lower()
-    for entry in load_corpus():
-        if entry.name.lower() == wanted or wanted in (a.lower() for a in entry.aliases):
-            return entry
-    raise MalformedInput(f"no corpus entry named {name!r}; have {corpus_names()}")
+    return next((e for e in load_corpus() if wanted in (e.name.lower(), *map(str.lower, e.aliases))), None)
+
+
+def get_entry(name: str) -> CorpusEntry:
+    entry = find_entry(name)
+    if entry is None:
+        raise MalformedInput(f"no corpus entry named {name!r}; have {corpus_names()}")
+    return entry

@@ -7,25 +7,16 @@ straight piece of length 2L - 2; length-1 sticks leave an explicit
 zero-length piece so that pieces always alternate arc, straight, arc, ...
 and the piece count stays exactly twice the corner count.
 
-Thickness is measured, not assumed: curvature radius is exactly 1 by
-construction and the minimum distance between non-adjacent pieces is
-exact.  Straights and parallel arcs have closed forms; arcs in
-perpendicular planes reduce to one angle, whose stationary points are
-roots of an integer polynomial isolated by Sturm sequences.
-
-The scan measures only candidate pairs.  Each piece's integer bounding
-box is hashed into cells of side 4, and the candidates are the
-non-adjacent pairs whose boxes lie within r of each other, from r = 2,
-the clearance of the doubled lattice.  A minimum <= r is exact, since
-every pair left out is farther apart than r; otherwise r grows and the
-scan repeats, until at the knot's own extent every pair is a candidate.
-
-The pieces become arrays once per scan, and the candidate pairs are
-measured in chunks of fixed size.  Straight-straight and arc-straight
-pairs go through exact batched kernels.  Arc-arc pairs first pass a
-batched five-sample screen; only the pairs it cannot rule out reach the
-scalar arc-arc kernel.  numpy is imported inside the scan's functions,
-not with the module, so that commands which never scan start without it.
+Thickness is measured, not assumed: every arc has radius exactly 1, and
+the thickness is min(1, d/2), where d is the least distance between
+non-adjacent pieces (at least 2 on a doubled lattice knot).  No d of 2 or
+more can change it, so the scan measures the clearance min(d, 2),
+exactly, in one round over the non-adjacent pairs whose integer bounding
+boxes are less than 2 apart.  Two straights are two boxes; parallel arcs
+have closed forms; arcs in perpendicular planes reduce to one angle,
+whose stationary points are roots of an integer polynomial isolated by
+Sturm sequences.  numpy is imported inside the scan's functions, not with
+the module, so that commands which never scan start without it.
 """
 
 from __future__ import annotations
@@ -96,8 +87,6 @@ class RopeMetrics:
     length: float
     length_exact: PiExpr
     corner_count: int
-    min_curvature_radius: float
-    min_doubled_self_distance: float
     thickness_radius: float
     ropelength: float
 
@@ -139,21 +128,17 @@ def smooth(k: LatticeKnot) -> SmoothKnot:
 
 
 def rope_metrics(s: SmoothKnot) -> RopeMetrics:
-    """Length in closed form; thickness from curvature and the distance scan."""
-    arcs = s.arcs
+    """Length in closed form; thickness min(1, clearance / 2), since every
+    corner is an arc of radius 1."""
+    n_arcs = len(s.arcs)
     straight_total = sum(p.length for p in s.straights)
-    n_arcs = len(arcs)
     length_exact = PiExpr(Fraction(straight_total), Fraction(n_arcs, 2))
     length = float(length_exact)
-    min_curv = 1.0 if n_arcs else math.inf
-    dmin = _min_self_distance(s)
-    thickness = min(min_curv, dmin / 2.0)
+    thickness = min(1.0, _clearance(s) / 2.0)
     return RopeMetrics(
         length=length,
         length_exact=length_exact,
         corner_count=n_arcs,
-        min_curvature_radius=min_curv,
-        min_doubled_self_distance=dmin,
         thickness_radius=thickness,
         ropelength=length / thickness if thickness else math.inf,
     )
@@ -176,32 +161,6 @@ def _point_arc_dist(p, arc: ArcPiece) -> float:
         return math.sqrt(1.0 + max(h2, 0.0))
     maxcos = 1.0 if (wu >= 0.0 and wv >= 0.0) else max(wu, wv) / rho
     return math.sqrt(max(1.0 + rho * rho - 2.0 * rho * maxcos + max(h2, 0.0), 0.0))
-
-
-def _seg_seg_batch(p1, q1, p2, q2):
-    """Vectorized exact segment/segment distances (rows are 3-vectors)."""
-    import numpy as np
-
-    d1 = q1 - p1
-    d2 = q2 - p2
-    r = p1 - p2
-    a = np.einsum("ij,ij->i", d1, d1)
-    e = np.einsum("ij,ij->i", d2, d2)
-    f = np.einsum("ij,ij->i", d2, r)
-    c = np.einsum("ij,ij->i", d1, r)
-    b = np.einsum("ij,ij->i", d1, d2)
-    denom = a * e - b * b
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.where(denom > 0.0, np.clip((b * f - c * e) / np.where(denom == 0.0, 1.0, denom), 0.0, 1.0), 0.0)
-        t = np.where(e > 0.0, (b * s + f) / np.where(e == 0.0, 1.0, e), 0.0)
-        s_low = np.where(a > 0.0, np.clip(-c / np.where(a == 0.0, 1.0, a), 0.0, 1.0), 0.0)
-        s_high = np.where(a > 0.0, np.clip((b - c) / np.where(a == 0.0, 1.0, a), 0.0, 1.0), 0.0)
-    s = np.where(t < 0.0, s_low, np.where(t > 1.0, s_high, s))
-    # a degenerate second segment pins t = 0; s must still project onto the first
-    s = np.where(e == 0.0, s_low, s)
-    t = np.clip(t, 0.0, 1.0)
-    diff = (p1 + s[:, None] * d1) - (p2 + t[:, None] * d2)
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
 _QUARTER = math.pi / 2
@@ -244,6 +203,16 @@ def _point_seg_batch(p, a, b):
     dy = p[:, 1] - (a[:, 1] + t * ab[:, 1])
     dz = p[:, 2] - (a[:, 2] + t * ab[:, 2])
     return np.sqrt(dx * dx + dy * dy + dz * dz)
+
+
+def _seg_seg_gap(p1, q1, p2, q2):
+    """Exact distances between axis-parallel segments, one row per pair: each
+    is its own box, and two boxes are as far apart as the norm of their axis gaps."""
+    import numpy as np
+
+    gap = np.maximum(np.minimum(p2, q2) - np.maximum(p1, q1), np.minimum(p1, q1) - np.maximum(p2, q2))
+    gap = np.maximum(gap, 0.0)
+    return np.sqrt((gap * gap).sum(axis=1))
 
 
 def _arc_seg_batch(c, u, v, a, b):
@@ -370,22 +339,6 @@ def _arc_arc_dist(a1: ArcPiece, a2: ArcPiece, cutoff: float) -> float:
     for t in _unit_roots(_stationary_poly(a1, a2)):
         cands.append(_point_arc_dist(a2.point(2.0 * math.atan(t)), a1))
     return min(cands)
-
-
-# cos and sin of the screen's inner samples, at theta = pi/8, pi/4, 3pi/8
-_SCREEN_TRIG = [(math.cos(t), math.sin(t)) for t in (k * _QUARTER / 4 for k in (1, 2, 3))]
-
-
-def _arc_arc_screen(c1, u1, v1, c2, u2, v2):
-    """`_arc_arc_dist`'s sampled distance on rows of arc pairs: the least
-    distance from arc 2's start, its points at pi/8, pi/4 and 3pi/8, and its
-    end to arc 1."""
-    import numpy as np
-
-    best = _point_arc_batch(c2 + u2 - c1, u1, v1)
-    for ct, st in _SCREEN_TRIG:
-        best = np.minimum(best, _point_arc_batch(c2 + ct * u2 + st * v2 - c1, u1, v1))
-    return np.minimum(best, _point_arc_batch(c2 + v2 - c1, u1, v1))
 
 
 def _stationary_poly(a1: ArcPiece, a2: ArcPiece) -> list[int]:
@@ -557,25 +510,25 @@ def _piece_boxes(center, u, v, start, end) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _near_pairs(lo: np.ndarray, hi: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs i < j whose boxes are at most r apart along every axis.
+def _near_pairs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs i < j whose integer boxes are less than 2 apart, which is
+    exactly when they are at most 1 apart along every axis: the gaps
+    (1, 1, 1) are sqrt(3) apart, and a gap of 2 is 2 apart on its own.
 
-    Only the thickness scan uses it, on the pieces' boxes.
-
-    Every box, grown by r/2 on each side, is filed under each hash cell it
-    meets; two boxes at most r apart along every axis then share a cell.
-    Cells have side 4, or r when r is larger, so a grown box meets at
-    most three cells across its short axes.  Cells are also at least a
-    sixteenth of the mean box size (summed over the axes), so a few very
-    long pieces cannot file an unbounded number of cells.
+    Every box, grown by 1/2 on each side, is filed under each hash cell it
+    meets; two boxes at most 1 apart along every axis then share a cell.
+    Cells have side 4, so a grown box meets at most two cells across its
+    short axes.  Cells are also at least a sixteenth of the mean box size
+    (summed over the axes), so a few very long pieces cannot file an
+    unbounded number of cells.
     """
     import numpy as np
 
     n = len(lo)
     min_side = -(-int((hi - lo).sum()) // (16 * n))
-    cell = 2 * max(_CELL, r, min_side)  # in half units, so r may be odd
-    clo = (2 * lo - r) // cell
-    chi = (2 * hi + r) // cell
+    cell = 2 * max(_CELL, min_side)  # in half units
+    clo = (2 * lo - 1) // cell
+    chi = (2 * hi + 1) // cell
     span = chi - clo + 1
     count = span.prod(axis=1)
     owner = np.repeat(np.arange(n), count)
@@ -599,8 +552,7 @@ def _near_pairs(lo: np.ndarray, hi: np.ndarray, r: int) -> tuple[np.ndarray, np.
         firsts.append(a[lowest])
         seconds.append(b[lowest])
     i, j = np.concatenate(firsts), np.concatenate(seconds)
-    gap = np.maximum(lo[j] - hi[i], lo[i] - hi[j]).max(axis=1)
-    keep = gap <= r
+    keep = (np.maximum(lo[j] - hi[i], lo[i] - hi[j]) <= 1).all(axis=1)
     return i[keep], j[keep]
 
 
@@ -611,110 +563,71 @@ def _per_chunk(kernel, x, y, xs, ys):
         yield kernel(*(w[cx] for w in xs), *(w[cy] for w in ys))
 
 
-def _scan_pairs(pieces, arrays, i: np.ndarray, j: np.ndarray, r: int) -> float:
-    """Minimum distance over the given piece pairs (i < j, arcs at even indices).
+def _scan_pairs(pieces, arrays, i: np.ndarray, j: np.ndarray) -> float:
+    """min(2, the least distance over the piece pairs i < j), arcs at even indices.
 
     `arrays` is `_piece_arrays` in float64.  Segment-segment and
     arc-segment pairs go through the exact batched kernels.  Arc-arc pairs
-    first pass the batched five-sample screen: the distance from a point of
-    one arc to the other is 1-Lipschitz in the angle, for arcs in parallel
-    or perpendicular planes alike, so a pair whose sampled distance stays
-    pi/16 above the minimum over the pairs with a straight is dropped.
-    The pairs that come close go through the scalar `_arc_arc_dist` (the
-    closed form for parallel planes) in order of the lower bound
+    go through the scalar `_arc_arc_dist` in order of the lower bound
     |c1 - c2| - 2, against the running minimum.
     """
     import numpy as np
 
-    center, u, v, start, end = arrays
-    arc, seg = (center, u, v), (start, end)
+    arc, seg = arrays[:3], arrays[3:]
     kind = (i % 2) + 2 * (j % 2)  # 0 arc-arc, 1 seg-arc, 2 arc-seg, 3 seg-seg
-    ss = kind == 3
-    mixed = (kind == 1) | (kind == 2)
+    ss, mixed = kind == 3, (kind == 1) | (kind == 2)
     arcs = np.where(kind == 1, j, i)[mixed] // 2
     segs = np.where(kind == 1, i, j)[mixed] // 2
-    best = math.inf
+    best = 2.0
     for d in chain(
-        _per_chunk(_seg_seg_batch, i[ss] // 2, j[ss] // 2, seg, seg),
+        _per_chunk(_seg_seg_gap, i[ss] // 2, j[ss] // 2, seg, seg),
         _per_chunk(_arc_seg_batch, arcs, segs, arc, seg),
     ):
         best = min(best, float(d.min()))
 
     aa = kind == 0
-    first, second = i[aa], j[aa]
-    # np.sqrt and math.hypot may part in the last bit of rho, which moves a
-    # sampled distance d >= pi/16 (the only ones the rule can drop) by less
-    # than 1e-15 * (d + 16); the screen keeps a thousandfold margin on that,
-    # so a pair it drops is no closer than best - _TOL, as with the lower
-    # bound below
-    sampled = np.concatenate([np.zeros(0), *_per_chunk(_arc_arc_screen, first // 2, second // 2, arc, arc)])
-    keep = sampled - _QUARTER / 8 - 1e-12 * (sampled + 16.0) < best - _TOL
     arc_arc_cands = sorted(
         (math.dist(pieces[a].center, pieces[b].center) - 2.0, a, b)
-        for a, b in zip(first[keep].tolist(), second[keep].tolist())
+        for a, b in zip(i[aa].tolist(), j[aa].tolist())
     )
     calls = 0
     for lb, a, b in arc_arc_cands:
         if lb >= best - _TOL:
             break
         calls += 1
-        d = _arc_arc_dist(pieces[a], pieces[b], cutoff=best)
-        if d < best:
-            best = d
+        best = min(best, _arc_arc_dist(pieces[a], pieces[b], cutoff=best))
 
     # imported here, not with the module: `import logging` adds time and
     # memory to the start-up of every command, and only a scan needs it
     import logging
 
     logging.getLogger(__name__).debug(
-        "scan round r=%d: %d segment-segment, %d arc-segment, %d arc-arc candidate pairs; "
+        "scan: %d segment-segment, %d arc-segment, %d arc-arc candidate pairs; "
         "%d arc-arc pairs to the scalar kernel",
-        r, int(ss.sum()), len(arcs), len(first), calls,
+        int(ss.sum()), len(arcs), len(arc_arc_cands), calls,
     )
     return best
 
 
-def _min_self_distance(s: SmoothKnot) -> float:
-    """Minimum distance over all non-adjacent piece pairs.
+def _clearance(s: SmoothKnot) -> float:
+    """min(d, 2), where d is the least distance between non-adjacent pieces.
 
     Pieces are adjacent when their source sticks are at most one apart,
-    cyclically (an arc at corner k joins sticks k-1 and k).  Such pairs
-    are close only through a short run of the curve itself, where
-    embeddability is governed by the curvature radius; chordal clearance
-    is meaningful between pieces of non-adjacent sticks, which the doubled
-    lattice keeps at distance 2 or more.
-
-    Candidates are the non-adjacent pairs whose boxes lie within r of
-    each other, starting at r = 2.  A minimum <= r is the answer, since
-    every pair left out is farther apart than r.  Otherwise r doubles, or
-    grows to the minimum found if that is larger, so the next round ends
-    the scan; r stops at the extent of the knot's box, where every pair
-    is a candidate.
+    cyclically (an arc at corner k joins sticks k-1 and k); the curvature
+    radius, not the clearance, governs how close those come.  The
+    candidates are the other pairs whose boxes are less than 2 apart, so
+    every pair left out is at least 2 apart: one round is exact.
     """
     import numpy as np
 
     pieces = s.pieces
-    n = len(pieces)
-    m = n // 2  # sticks
+    m = len(pieces) // 2  # sticks
     arrays = _piece_arrays(pieces)
-    lo, hi = _piece_boxes(*arrays)
-    arrays = tuple(x.astype(float) for x in arrays)
-    extent = int((hi.max(axis=0) - lo.min(axis=0)).max())
-    r = 2
-    while True:
-        if r >= extent:
-            i, j = np.triu_indices(n, 1)
-        else:
-            i, j = _near_pairs(lo, hi, r)
-        # piece p covers sticks (p-1)//2 .. p//2 (arc 0 covers -1, the last
-        # stick); apart is the stick gap between two pieces, either way round
-        apart = np.minimum((j - 1) // 2 - i // 2, (i - 1) // 2 + m - j // 2)
-        far = apart > 1
-        best = _scan_pairs(pieces, arrays, i[far], j[far], r)
-        if best <= r or r >= extent:
-            return best
-        # every pair within the best distance found is a candidate next round
-        r = min(2 * r if best == math.inf else max(2 * r, math.ceil(best)), extent)
+    i, j = _near_pairs(*_piece_boxes(*arrays))
+    # piece p covers sticks (p-1)//2 .. p//2 (arc 0 covers -1, the last
+    # stick); apart is the stick gap between two pieces, either way round
+    far = np.minimum((j - 1) // 2 - i // 2, (i - 1) // 2 + m - j // 2) > 1
+    return _scan_pairs(pieces, tuple(x.astype(float) for x in arrays), i[far], j[far])
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,13 @@
 
 A reference for the cell-hash scan in knotfold.rope.  It shares none of
 the pair selection: adjacency is decided stick by stick, and every
-non-adjacent pair is a candidate.  It measures arc-segment pairs one at a
+non-adjacent pair is a candidate.  It does not stop at 2 either: it
+measures the full minimum distance d, and the scan's clearance must equal
+min(d, 2).  Segment-segment pairs go through the general segment kernel
+below, not the scan's box gaps.  Arc-segment pairs are measured one at a
 time with the scalar kernel below, the reference for the scan's batched
-`_arc_seg_batch`, and shares the other exact kernels with the scan:
-`_seg_seg_batch`, the point-to-arc distance and `_arc_arc_dist`.
+`_arc_seg_batch`.  The point-to-arc distance and `_arc_arc_dist` are
+shared with the scan.
 """
 
 import math
@@ -19,8 +22,31 @@ from knotfold.rope import (
     _arc_arc_dist,
     _in_cone,
     _point_arc_dist,
-    _seg_seg_batch,
 )
+
+
+def _seg_seg_batch(p1, q1, p2, q2):
+    """Vectorized exact segment/segment distances (rows are 3-vectors)."""
+    d1 = q1 - p1
+    d2 = q2 - p2
+    r = p1 - p2
+    a = np.einsum("ij,ij->i", d1, d1)
+    e = np.einsum("ij,ij->i", d2, d2)
+    f = np.einsum("ij,ij->i", d2, r)
+    c = np.einsum("ij,ij->i", d1, r)
+    b = np.einsum("ij,ij->i", d1, d2)
+    denom = a * e - b * b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.where(denom > 0.0, np.clip((b * f - c * e) / np.where(denom == 0.0, 1.0, denom), 0.0, 1.0), 0.0)
+        t = np.where(e > 0.0, (b * s + f) / np.where(e == 0.0, 1.0, e), 0.0)
+        s_low = np.where(a > 0.0, np.clip(-c / np.where(a == 0.0, 1.0, a), 0.0, 1.0), 0.0)
+        s_high = np.where(a > 0.0, np.clip((b - c) / np.where(a == 0.0, 1.0, a), 0.0, 1.0), 0.0)
+    s = np.where(t < 0.0, s_low, np.where(t > 1.0, s_high, s))
+    # a degenerate second segment pins t = 0; s must still project onto the first
+    s = np.where(e == 0.0, s_low, s)
+    t = np.clip(t, 0.0, 1.0)
+    diff = (p1 + s[:, None] * d1) - (p2 + t[:, None] * d2)
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
 def _point_seg_dist3(px, py, pz, ax, ay, az, bx, by, bz):

@@ -130,9 +130,7 @@ def test_criterion_5_thickness(corpus_pipelines, pipelines200):
         for label, res in runs:
             for step in (1, 2, 3):
                 m = rope_metrics(smooth(res.stages[step].knot))
-                assert m.min_curvature_radius == 1.0, (label, step)
-                assert m.min_doubled_self_distance >= 2.0 - 2e-9, (label, step)
-                assert abs(m.thickness_radius - 1.0) <= 1e-9, (label, step)
+                assert m.thickness_radius == 1.0, (label, step)
         assert c.elapsed < 60.0
 
 

@@ -10,11 +10,27 @@ import pytest
 from knotfold.bounds import theorem_len_bound, theorem_rop_bound
 from knotfold import cli
 from knotfold.cli import main
+from knotfold.grid import random_grid, serialize_grid
 
 
 SQUARE = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]
 # 200 bytes that are not UTF-8: they start with 0xff, a byte UTF-8 never uses
 NOT_UTF8 = bytes(range(255, 55, -1))
+
+
+def set_header_field(path, key, value):
+    """Rewrite one provenance field of a built lattice file, text or JSON."""
+    if path.suffix == ".json":
+        blob = json.loads(path.read_text())
+        blob["provenance"][key] = value
+        path.write_text(json.dumps(blob))
+        return
+    lines = path.read_text().splitlines()
+    if not any(line.startswith(f"# {key}:") for line in lines):
+        lines.insert(1, f"# {key}: {value}")
+    path.write_text("\n".join(
+        f"# {key}: {value}" if line.startswith(f"# {key}:") else line for line in lines
+    ) + "\n")
 
 
 def run(capsys, *argv):
@@ -254,6 +270,56 @@ class TestCertify:
         assert code == 2
         assert "MalformedInput" in stderr and "nonalternating_prime" in stderr
         assert "PASS" not in stdout
+
+    @pytest.mark.parametrize("form", ["txt", "json"])
+    @pytest.mark.parametrize(
+        "key,value,why",
+        [
+            ("crossing_number", 100000, "disagrees with corpus entry 3_1: crossing_number 100000"),
+            ("known_minimum_edges", -5, "known_minimum_edges -5 is below 24"),
+            ("known_minimum_edges", 23, "known_minimum_edges 23 is below 24"),
+            ("g", 9, "disagrees with corpus entry 3_1: g 9"),
+            ("nonalternating_prime", "true", "nonalternating_prime True (corpus False)"),
+        ],
+        ids=["crossing_number", "negative_minimum", "minimum_23", "g", "nonalternating_prime"],
+    )
+    def test_false_header_claim_exit_2(self, tmp_path, capsys, form, key, value, why):
+        # each edit loosens a bound or a check, and each used to pass every line
+        out = tmp_path / "o"
+        run(capsys, "build", "--corpus", "3_1", "--out", str(out))
+        path = out / f"3_1.step3.{form}"
+        set_header_field(path, key, value)
+        code, stdout, stderr = run(capsys, "certify", "--lattice", str(path), "--out", str(out))
+        assert code == 2
+        assert "MalformedInput" in stderr and why in stderr
+        assert "PASS" not in stdout
+
+    @pytest.mark.parametrize("crossings,known,floor", [(3, 12, 24), (None, -1, 0)])
+    def test_impossible_known_minimum_outside_the_corpus_exit_2(self, tmp_path, capsys, crossings,
+                                                                 known, floor):
+        # a nontrivial lattice knot has at least 24 edges, and any knot at least 0
+        prov = {"source": "mine", "g": 5, "step": 3, "known_minimum_edges": known}
+        if crossings is not None:
+            prov["crossing_number"] = crossings
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps({"corners": SQUARE, "provenance": prov}))
+        code, _, stderr = run(capsys, "certify", "--lattice", str(path), "--out", str(tmp_path))
+        assert code == 2
+        assert "MalformedInput" in stderr and f"known_minimum_edges {known} is below {floor}" in stderr
+
+    def test_input_named_like_a_corpus_knot_is_not_refused(self, tmp_path, capsys):
+        # only --corpus writes crossing_number, nonalternating_prime and
+        # known_minimum_edges; an --input file records its own g under the
+        # source its name gives, here 3_1 with g = 6 against the corpus's 5
+        grid = tmp_path / "3_1.grid"
+        grid.write_text(serialize_grid(random_grid(6, 1)))
+        out = tmp_path / "o"
+        assert run(capsys, "build", "--input", str(grid), "--out", str(out))[0] == 0
+        for form in ("txt", "json"):
+            path = out / f"3_1.step3.{form}"
+            code, stdout, _ = run(capsys, "certify", "--lattice", str(path), "--out", str(out))
+            assert code == 0, form
+            assert "certificate 3_1 step 3" in stdout and "FAIL" not in stdout
 
     def test_lattice_headers_certify_as_their_stage(self, tmp_path, capsys):
         # every step file, text and JSON, certifies from its header alone as

@@ -3,8 +3,9 @@ decide the thickness certificate, so each one is checked under random
 axis-aligned configurations of the kind the pipeline produces (integer
 centers, unit axis frames, axis-parallel segments), and the arc-arc kernel
 also under every perpendicular frame pair at unit offsets.  The batched
-arc-segment kernel and arc-arc screen are checked against their scalar
-references."""
+arc-segment kernel is checked against its scalar reference.  The general
+segment-segment kernel lives in the scan oracle: the scan itself measures
+two straights by their box gaps."""
 
 import itertools
 import math
@@ -14,17 +15,14 @@ import numpy as np
 import pytest
 
 from knotfold.rope import (
-    _QUARTER,
     ArcPiece,
     _arc_arc_dist,
-    _arc_arc_screen,
     _arc_seg_batch,
     _point_arc_dist,
     _pmul,
-    _seg_seg_batch,
     _unit_roots,
 )
-from scan_oracle import _arc_seg_dist
+from scan_oracle import _arc_seg_dist, _seg_seg_batch
 
 AXES = [
     (1, 0, 0), (-1, 0, 0),
@@ -210,31 +208,6 @@ def test_arc_seg_in_plane_through_an_arc_end_is_exactly_zero():
                     segs += [(tuple(a), tuple(b)), (tuple(b), tuple(a))]
     assert len(arcs) == 24 * 2 * 2 * 495 * 2
     assert not assert_arc_seg_batch_is_scalar(arcs, segs).any()
-
-
-def test_arc_arc_screen_is_within_its_margin():
-    # the batched screen's rho is sqrt(wu^2 + wv^2), not math.hypot; at the
-    # distances the screen can rule out (at least pi/16) its sampled minimum
-    # is within 1e-15 * (d + 16) of the scalar one, a thousandth of the
-    # margin `_scan_pairs` allows
-    rng = random.Random(23)
-    arcs1, arcs2 = [], []
-    for _ in range(3000):
-        (u1, v1), (u2, v2) = rng.choice(FRAMES), rng.choice(FRAMES)
-        scale = rng.choice((3, 100, 10**4, 10**8))
-        arcs1.append(ArcPiece(center=(0, 0, 0), u=u1, v=v1))
-        arcs2.append(ArcPiece(center=tuple(rng.randint(-scale, scale) for _ in range(3)), u=u2, v=v2))
-    rows = [
-        np.array([getattr(arc, f) for arc in arcs], float)
-        for arcs in (arcs1, arcs2)
-        for f in ("center", "u", "v")
-    ]
-    got = _arc_arc_screen(*rows)
-    for d, a1, a2 in zip(got.tolist(), arcs1, arcs2):
-        points = [a2.start, *(a2.point(k * _QUARTER / 4) for k in (1, 2, 3)), a2.end]
-        want = min(_point_arc_dist(p, a1) for p in points)
-        if want >= _QUARTER / 8:
-            assert abs(d - want) <= 1e-15 * (want + 16), (a1, a2)
 
 
 def test_adversarial_product_valley_is_exact():

@@ -1,9 +1,12 @@
 """The cell-hash thickness scan against the brute-force all-pairs oracle.
 
-The oracle measures arc-segment pairs with the scalar kernel that the
-scan's batched one reproduces operation for operation, and shares the
-other kernels with the scan, so the minimum must agree to the last bit
-(==), not within a tolerance.
+The scan stops at the clearance 2, and the oracle does not: twice the
+thickness radius must equal min(d, 2), where d is the oracle's minimum
+over all non-adjacent pairs.  The oracle measures arc-segment pairs with
+the scalar kernel that the scan's batched one reproduces operation for
+operation, and shares the arc-arc kernel with the scan; two straights the
+scan measures as boxes, which is exact.  So the two must agree to the last
+bit (==), not within a tolerance.
 """
 
 import itertools
@@ -26,6 +29,7 @@ from knotfold.rope import (
     _piece_arrays,
     _piece_boxes,
     _scan_pairs,
+    import_geometry,
     rope_metrics,
     smooth,
 )
@@ -34,14 +38,20 @@ from scan_oracle import min_self_distance_oracle
 
 def assert_matches_oracle(knot, label):
     s = smooth(knot)
-    got = rope_metrics(s).min_doubled_self_distance
-    assert got == min_self_distance_oracle(s), label
+    got = 2 * rope_metrics(s).thickness_radius
+    assert got == min(min_self_distance_oracle(s), 2.0), label
     return got
 
 
-@pytest.mark.parametrize("r", [1, 2, 3, 4, 7, 16])
-def test_near_pairs_are_exactly_the_boxes_within_r(r):
-    rng = np.random.default_rng(r)
+def box_distance_squared(lo1, hi1, lo2, hi2):
+    """Squared Euclidean distance between two integer boxes, in Python ints."""
+    return sum(max(0, l2 - h1, l1 - h2) ** 2 for l1, h1, l2, h2 in zip(lo1, hi1, lo2, hi2))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 7, 16])
+def test_near_pairs_are_exactly_the_boxes_within_r(seed):
+    # r = 2: the pairs whose boxes are less than 2 apart, in Euclidean distance
+    rng = np.random.default_rng(seed)
     lo = rng.integers(-20, 20, size=(150, 3))
     size = rng.integers(0, 3, size=(150, 3))
     size[np.arange(150), rng.integers(0, 3, size=150)] = rng.integers(0, 40, size=150)
@@ -49,10 +59,20 @@ def test_near_pairs_are_exactly_the_boxes_within_r(r):
     want = {
         (a, b)
         for a, b in itertools.combinations(range(150), 2)
-        if max(max(lo[b] - hi[a]), max(lo[a] - hi[b])) <= r
+        if box_distance_squared(lo[a].tolist(), hi[a].tolist(), lo[b].tolist(), hi[b].tolist()) < 4
     }
-    i, j = _near_pairs(lo, hi, r)
+    i, j = _near_pairs(lo, hi)
     assert sorted(zip(i.tolist(), j.tolist())) == sorted(want)
+
+
+def test_near_pairs_pinned_gaps():
+    # gaps (1, 1, 1) are sqrt(3) < 2 apart and kept; (2, 0, 0) is 2 apart and
+    # dropped, and so is a gap of 2**52, whose square overflows int64
+    big = 2**51
+    lo = np.array([(0, 0, 0), (2, 2, 2), (3, 0, 0), (-big, 0, 0), (big, 0, 0)], dtype=np.int64)
+    hi = np.array([(1, 1, 1), (5, 2, 2), (4, 1, 1), (-big, 0, 0), (big, 0, 0)], dtype=np.int64)
+    i, j = _near_pairs(lo, hi)
+    assert sorted(zip(i.tolist(), j.tolist())) == [(0, 1), (1, 2)]
 
 
 def test_piece_boxes_hold_their_pieces(corpus_pipelines):
@@ -101,56 +121,70 @@ def test_chunk_size_does_not_change_the_minimum(corpus_pipelines, monkeypatch):
         res = run_pipeline(random_grid(g, 0))
         knots += [res.stages[step].knot for step in (1, 2, 3)]
     smoothed = [smooth(k) for k in knots]
-    want = [rope_metrics(s).min_doubled_self_distance for s in smoothed]
+    want = [rope_metrics(s).thickness_radius for s in smoothed]
     monkeypatch.setattr(rope, "_CHUNK", 7)
-    assert [rope_metrics(s).min_doubled_self_distance for s in smoothed] == want
+    assert [rope_metrics(s).thickness_radius for s in smoothed] == want
 
 
-def scan_peak(g):
-    """tracemalloc peak of the first scan round on step 3 of random_grid(g, 1), and its pair count."""
-    pieces = smooth(run_pipeline(random_grid(g, 1)).stages[3].knot).pieces
+def weave(n):
+    """n rows along x, crossed by n columns along y, all in the plane z = 0:
+    a closed lattice curve (n even) that meets itself n * n times."""
+    top = 2 * n + 1
+    corners = []
+    for k in range(n):  # rows at odd y, alternately rightwards and back
+        ends = (0, 2 * n) if k % 2 == 0 else (2 * n, 0)
+        corners += [(ends[0], 2 * k + 1, 0), (ends[1], 2 * k + 1, 0)]
+    for k in range(n):  # columns at odd x, alternately down and back up
+        ends = (top, -1) if k % 2 == 0 else (-1, top)
+        corners += [(2 * k + 1, ends[0], 0), (2 * k + 1, ends[1], 0)]
+    corners += [(2 * n - 1, top + 2, 0), (-2, top + 2, 0), (-2, 1, 0)]
+    return LatticeKnot(tuple(corners))
+
+
+def scan_peak(n):
+    """tracemalloc peak of the pair scan on weave(n), and its pair count."""
+    pieces = smooth(weave(n)).pieces
     arrays = _piece_arrays(pieces)
-    i, j = _near_pairs(*_piece_boxes(*arrays), 2)
+    i, j = _near_pairs(*_piece_boxes(*arrays))
     m = len(pieces) // 2
     far = np.minimum((j - 1) // 2 - i // 2, (i - 1) // 2 + m - j // 2) > 1
     arrays = tuple(x.astype(float) for x in arrays)
     tracemalloc.start()
     try:
-        _scan_pairs(pieces, arrays, i[far], j[far], 2)
+        assert _scan_pairs(pieces, arrays, i[far], j[far]) == 0.0
         return tracemalloc.get_traced_memory()[1], int(far.sum())
     finally:
         tracemalloc.stop()
 
 
 def test_scan_memory_does_not_grow_with_pairs():
-    # the kernels run on chunks of pairs, so from g=256 to g=512 the pairs
-    # triple but the scan's peak stays well under twice as large; measuring
-    # every pair at once (a chunk as large as the pair count) more than triples it
-    peak256, pairs256 = scan_peak(256)
-    peak512, pairs512 = scan_peak(512)
-    assert pairs512 > 2.5 * pairs256
-    assert peak512 < 2 * peak256
+    # the kernels run on chunks of pairs, so from weave(100) to weave(174)
+    # the pairs triple but the scan's peak stays well under twice as large;
+    # measuring every pair at once (a chunk as large as the pair count)
+    # nearly triples it
+    peak_small, pairs_small = scan_peak(100)
+    peak_large, pairs_large = scan_peak(174)
+    assert pairs_large > 2.5 * pairs_small
+    assert peak_large < 2 * peak_small
 
 
 @pytest.mark.parametrize("w,h", [(10, 3), (3, 10), (40, 25), (2, 2), (5, 1)])
-def test_rectangle_grows_radius(w, h):
-    # only opposite straights are non-adjacent, 2*min(w, h) apart once doubled,
-    # so for min(w, h) > 1 no candidate lies within the starting radius
+def test_rectangle_clearance_is_two(w, h):
+    # only opposite straights are non-adjacent, 2*min(w, h) apart once
+    # doubled; the scan stops at 2, and for min(w, h) > 1 it has no candidate
     rect = LatticeKnot(((0, 0, 0), (w, 0, 0), (w, h, 0), (0, h, 0)))
-    assert assert_matches_oracle(rect, (w, h)) == 2.0 * min(w, h)
+    assert assert_matches_oracle(rect, (w, h)) == 2.0
 
 
-def test_one_debug_record_per_round(caplog):
+def test_one_debug_record_per_scan(caplog):
     # the rectangle's only non-adjacent pairs are its opposite straights,
-    # 6 and 20 apart once doubled, so r grows from 2 to 8
+    # 6 and 20 apart once doubled, so no pair is a candidate
     caplog.set_level(logging.DEBUG, logger="knotfold.rope")
     rect = LatticeKnot(((0, 0, 0), (10, 0, 0), (10, 3, 0), (0, 3, 0)))
-    rope_metrics(smooth(rect))
-    tail = "arc-segment, 0 arc-arc candidate pairs; 0 arc-arc pairs to the scalar kernel"
+    assert rope_metrics(smooth(rect)).thickness_radius == 1.0
     assert [rec.getMessage() for rec in caplog.records if rec.name == "knotfold.rope"] == [
-        f"scan round r=2: 0 segment-segment, 0 {tail}",
-        f"scan round r=4: 0 segment-segment, 0 {tail}",
-        f"scan round r=8: 1 segment-segment, 0 {tail}",
+        "scan: 0 segment-segment, 0 arc-segment, 0 arc-arc candidate pairs; "
+        "0 arc-arc pairs to the scalar kernel"
     ]
 
 
@@ -159,7 +193,43 @@ def test_hexagon_through_three_planes():
     hexagon = LatticeKnot(
         ((0, 0, 0), (6, 0, 0), (6, 6, 0), (6, 6, 6), (0, 6, 6), (0, 0, 6))
     )
-    assert assert_matches_oracle(hexagon, "hexagon") > 12.0
+    assert assert_matches_oracle(hexagon, "hexagon") == 2.0
+
+
+def rope_of(corners):
+    """The rope that `smooth` makes of these corners, but without doubling
+    them, so two pieces may come closer than 2.  Every stick is at least 2 long."""
+    records = []
+    for p, q, r in zip(corners[-1:] + corners[:-1], corners, corners[1:] + corners[:1]):
+        u = [(b > a) - (b < a) for a, b in zip(p, q)]  # into the corner q
+        v = [(b > a) - (b < a) for a, b in zip(q, r)]  # out of it
+        arc = [c - x + y for c, x, y in zip(q, u, v)] + [-y for y in v] + u
+        seg = [c + y for c, y in zip(q, v)] + [c - y for c, y in zip(r, v)]
+        records += ["ARC " + " ".join(map(str, arc)), "SEG " + " ".join(map(str, seg))]
+    return import_geometry("\n".join(records))
+
+
+@pytest.mark.parametrize(
+    "corners,d",
+    [
+        # the straight of (4, -3, 1) -> (4, 3, 1) passes 1 over that of (0, 0, 0) -> (8, 0, 0)
+        (
+            [(0, 0, 0), (8, 0, 0), (8, 0, 3), (4, 0, 3), (4, -3, 3), (4, -3, 1),
+             (4, 3, 1), (0, 3, 1), (0, 3, -2), (0, 0, -2)],
+            1.0,
+        ),
+        # the straight of (6, 1, 1) -> (2, 1, 1) runs sqrt(2) from that of (-3, 0, 0) -> (8, 0, 0)
+        (
+            [(-3, 0, 0), (8, 0, 0), (8, 0, 3), (11, 0, 3), (11, 4, 3), (11, 4, 1), (6, 4, 1),
+             (6, 1, 1), (2, 1, 1), (2, 1, 4), (-3, 1, 4), (-3, -3, 4), (-3, -3, 0)],
+            math.sqrt(2.0),
+        ),
+    ],
+)
+def test_straights_closer_than_two(corners, d):
+    s = rope_of(corners)
+    assert rope_metrics(s).thickness_radius == d / 2
+    assert min_self_distance_oracle(s) == d
 
 
 def random_turning_polygon(rng, sticks):
