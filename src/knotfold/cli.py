@@ -24,6 +24,7 @@ from .bounds import (
     theorem_len_bound,
     theorem_rop_bound,
 )
+from .diagram import r1_reduced_code, same_r1_reduced_code
 from .errors import KnotfoldError, MalformedInput
 from .grid import GridDiagram, grid_to_planar, parse_grid, random_grid
 from .lattice import parse_lattice, serialize_lattice, validate_lattice
@@ -215,8 +216,18 @@ def cmd_build(args) -> int:
 
 def _certify_spec(prov: Provenance, diagram: GridDiagram, expected: LaurentPoly | None,
                   max_step: int):
+    """One certificate per pipeline stage, each with the stage's Alexander check.
+
+    `settle` puts every vertical strand above every horizontal one, so the
+    step-1 projection is the grid diagram plus Reidemeister I kinks.  When
+    its R1-reduced signed Gauss code matches the grid diagram's, the two
+    are the same knot and step 1's polynomial is the base one; otherwise
+    it is computed.  Either way the certificate's bytes are the same.
+    Steps 2 and 3 are always computed: a fold is not a local move.
+    """
     result = run_pipeline(diagram, max_step=max_step)
-    base_poly = alexander(grid_to_planar(diagram))
+    base = grid_to_planar(diagram)
+    base_poly = alexander(base)
     corpus_check = None
     if expected is not None:
         verdict = same_knot_certificate(base_poly, expected)
@@ -229,7 +240,9 @@ def _certify_spec(prov: Provenance, diagram: GridDiagram, expected: LaurentPoly 
     for step in sorted(result.stages):
         stage = result.stages[step]
         cert = certify(stage.knot, replace(prov, step=step))
-        stage_poly = alexander(project(stage.knot))
+        pd = project(stage.knot)
+        same = step == 1 and same_r1_reduced_code(pd, base)
+        stage_poly = base_poly if same else alexander(pd)
         verdict = same_knot_certificate(base_poly, stage_poly)
         checks = cert.checks + (
             BoundCheck("alexander_preserved", f"{stage_poly} vs {base_poly}", verdict == "consistent"),
@@ -257,6 +270,14 @@ def cmd_certify(args) -> int:
                 print(f"{label}: {'PASS' if ok else 'FAIL ' + str(report)}")
                 all_pass &= ok
                 continue
+            # the crossing number is at most the crossing count of any diagram
+            if prov.crossing_number is not None and validate_lattice(knot).ok:
+                count = len(r1_reduced_code(project(knot))) // 2
+                if prov.crossing_number > count:
+                    raise MalformedInput(
+                        f"provenance crossing_number {prov.crossing_number} exceeds the "
+                        f"{count} crossings of the knot's R1-reduced projection"
+                    )
             cert = certify(knot, prov)
             print(cert.render_text())
             all_pass &= cert.passed

@@ -190,35 +190,28 @@ def grid_to_planar(d: GridDiagram) -> PlanarDiagram:
     and under directions, is -vy * hx.
     """
     _check_or_raise(d)
-    x_row = {c: r + 1 for r, c in enumerate(d.x_col)}
-    o_row = {c: r + 1 for r, c in enumerate(d.o_col)}
-
-    def h_span(r):
-        return d.x_col[r - 1], d.o_col[r - 1]
-
-    def v_span(c):
-        return o_row[c], x_row[c]  # vertical strands travel O -> X
-
-    def strict_cross(r, c):
-        a, b = h_span(r)
-        lo, hi = v_span(c)
-        return min(a, b) < c < max(a, b) and min(lo, hi) < r < max(lo, hi)
+    g = d.size
+    x_row, o_row = [0] * (g + 1), [0] * (g + 1)
+    for r, (x, o) in enumerate(zip(d.x_col, d.o_col), start=1):
+        x_row[x], o_row[o] = r, r
+    # open spans and directions by row and column (index 0 unused); a
+    # horizontal strand travels X -> O, a vertical one O -> X
+    h_lo = [0, *map(min, d.x_col, d.o_col)]
+    h_hi = [0, *map(max, d.x_col, d.o_col)]
+    h_dir = [0, *(1 if o > x else -1 for x, o in zip(d.x_col, d.o_col))]
+    v_lo = [*map(min, o_row, x_row)]
+    v_hi = [*map(max, o_row, x_row)]
+    v_dir = [1 if x > o else -1 for x, o in zip(x_row, o_row)]
 
     code: list[tuple[tuple[int, int], bool, int]] = []
     for r in d.row_order():
-        a, b = h_span(r)
-        hx = 1 if b > a else -1
-        for c in range(a + hx, b, hx):
-            if strict_cross(r, c):
-                lo, hi = v_span(c)
-                code.append(((r, c), False, -hx if hi > lo else hx))
-        c = b
-        lo, hi = v_span(c)
-        vy = 1 if hi > lo else -1
-        for rr in range(lo + vy, hi, vy):
-            if strict_cross(rr, c):
-                aa, bb = h_span(rr)
-                code.append(((rr, c), True, -vy if bb > aa else vy))
+        hx = h_dir[r]
+        b = d.o_col[r - 1]
+        code += [((r, c), False, -hx * v_dir[c])
+                 for c in range(d.x_col[r - 1] + hx, b, hx) if v_lo[c] < r < v_hi[c]]
+        vy = v_dir[b]
+        code += [((rr, b), True, -vy * h_dir[rr])
+                 for rr in range(r + vy, x_row[b], vy) if h_lo[rr] < b < h_hi[rr]]
     return build_diagram(code)
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conway_oracle import alexander_via_conway, gauss_code, torus_alexander
 from knotfold.alexander import _primes, alexander, project, same_knot_certificate
-from knotfold.diagram import build_diagram
+from knotfold.diagram import build_diagram, same_r1_reduced_code
 from knotfold.errors import MultiComponent, NoRegularShear
 from knotfold.grid import grid_to_planar, parse_grid, random_grid
 from knotfold.lattice import LatticeKnot, settle
@@ -178,6 +178,29 @@ class TestProject:
                     entry.name,
                     step,
                 )
+
+
+def test_step1_code_match_gives_the_base_polynomial_on_the_corpus(corpus_pipelines):
+    for entry, res in corpus_pipelines:
+        base = grid_to_planar(entry.diagram)
+        pd = project(res.stages[1].knot)
+        assert same_r1_reduced_code(pd, base), entry.name
+        assert alexander(pd) == alexander(base) == entry.alexander, entry.name
+
+
+@pytest.mark.parametrize("g,seed", [
+    *((g, seed) for g in (2, 3, 5, 8, 13, 20, 32, 48, 64) for seed in range(6)),
+    (96, 1),
+    (128, 1),
+])
+def test_step1_code_match_gives_the_base_polynomial(g, seed):
+    # `certify` takes the base polynomial for step 1 on a match, so the
+    # polynomial it skips must be that one
+    d = random_grid(g, seed)
+    base = grid_to_planar(d)
+    pd = project(run_pipeline(d, max_step=1).stages[1].knot)
+    assert same_r1_reduced_code(pd, base)
+    assert alexander(pd) == alexander(base)
 
 
 class TestCertificates:

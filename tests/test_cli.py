@@ -3,14 +3,18 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from knotfold.alexander import project
 from knotfold.bounds import theorem_len_bound, theorem_rop_bound
 from knotfold import cli
 from knotfold.cli import main
+from knotfold.diagram import PlanarDiagram, r1_reduced_code
 from knotfold.grid import random_grid, serialize_grid
+from knotfold.lattice import parse_lattice
 
 
 SQUARE = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]
@@ -338,6 +342,63 @@ class TestCertify:
             code, stdout, _ = run(capsys, "certify", "--lattice", str(path), "--out", str(out))
             assert code == 0, path.name
             assert stdout.splitlines() == want, path.name
+
+    def test_crossing_number_above_the_reduced_projection_exit_2(self, tmp_path, capsys):
+        # outside the corpus the header's crossing_number is refuted only by
+        # a diagram of the knot with fewer crossings: its R1-reduced projection
+        out = tmp_path / "o"
+        assert run(capsys, "build", "--random", "g=12,seed=1,count=1", "--out", str(out))[0] == 0
+        path = out / "random_g12_s1.step3.txt"
+        knot, _ = parse_lattice(path.read_text())
+        count = len(r1_reduced_code(project(knot))) // 2
+        assert 0 < count < len(project(knot).crossings)
+        set_header_field(path, "crossing_number", count + 1)
+        code, stdout, stderr = run(capsys, "certify", "--lattice", str(path), "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert "MalformedInput" in stderr
+        assert f"crossing_number {count + 1} exceeds the {count} crossings" in stderr
+        set_header_field(path, "crossing_number", count)
+        code, stdout, _ = run(capsys, "certify", "--lattice", str(path), "--out", str(out))
+        assert code == 0
+        assert f"edges_le_len_bound_c{count}:" in stdout and "FAIL" not in stdout
+
+    def test_step1_without_a_code_match_computes_its_polynomial(self, tmp_path, capsys, monkeypatch):
+        # in the step-1 projection of random_grid(8, 2), one crossing's over
+        # pass lies on the arc that ends at its own under pass, so its
+        # Wirtinger relation reads x_{j+1} = x_j whatever its sign: flipping
+        # that sign breaks the code match and keeps the polynomial
+        calls = []
+        alexander = cli.alexander
+        monkeypatch.setattr(cli, "alexander", lambda pd: calls.append(pd) or alexander(pd))
+        spec = ("certify", "--random", "g=8,seed=2,count=1")
+        assert run(capsys, *spec, "--out", str(tmp_path / "a"))[0] == 0
+        assert len(calls) == 3  # base, step 2 and step 3
+
+        def flip_one_sign(pd):
+            unders = {c.under_in for c in pd.crossings}
+            m = 2 * len(pd.crossings)
+
+            def over_on_incoming_arc(c):
+                between = [(c.under_in - k) % m for k in range(1, (c.under_in - c.over_in) % m)]
+                return len(between) > 0 and not unders & set(between)
+
+            i = next(i for i, c in enumerate(pd.crossings) if over_on_incoming_arc(c))
+            crossings = list(pd.crossings)
+            crossings[i] = replace(crossings[i], sign=-crossings[i].sign)
+            return PlanarDiagram(tuple(crossings))
+
+        stages = []
+
+        def project_flipping_step1(knot):
+            stages.append(knot)  # certify projects the stages in step order
+            return flip_one_sign(project(knot)) if len(stages) == 1 else project(knot)
+
+        monkeypatch.setattr(cli, "project", project_flipping_step1)
+        calls.clear()
+        assert run(capsys, *spec, "--out", str(tmp_path / "b"))[0] == 0
+        assert len(calls) == 4  # the fallback computes step 1 as well
+        for name in ("random_g8_s2.cert.txt", "random_g8_s2.cert.json"):
+            assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
 
 
 class TestExport:
