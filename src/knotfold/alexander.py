@@ -16,8 +16,9 @@ is interpolated in u = t + 1/t from min(c - L, H - c) + 1 points modulo
 enough primes, converted back to t, and recombined by the Chinese
 remainder theorem, with rigorous degree and coefficient bounds.  One
 point more per prime is a runtime self-test of the symmetry.  Each dense
-core is logged at DEBUG level: its rows, L, H, c, h = min(c - L, H - c),
-coefficient bound in bits and number of primes.  numpy is imported inside
+core is logged at DEBUG level: its rows, the Wirtinger rows it was
+eliminated from, L, H, c, h = min(c - L, H - c), coefficient bound in
+bits and number of primes.  numpy is imported inside
 the functions that evaluate a core of two or more rows, not with the
 module, so that commands which never meet such a core start without it.
 
@@ -365,7 +366,7 @@ def _symmetric_residues(values: np.ndarray, c: int, primes: list[int]) -> np.nda
     return half[:, :n]
 
 
-def _core_det(dense: list[list[list[int]]]) -> list[int]:
+def _core_det(dense: list[list[list[int]]], rows_before: int | None = None) -> list[int]:
     """Determinant of a square matrix over Z[t], lowest coefficient first.
 
     Entries are coefficient lists, and the determinant must be +-t^c times
@@ -383,6 +384,8 @@ def _core_det(dense: list[list[list[int]]]) -> list[int]:
     Gerhard, Modern Computer Algebra, ch. 5).  The product over rows, or
     over columns, of the L2 norm of the entries' L1 norms bounds |det| on
     |t| = 1 (Hadamard), hence every coefficient, so the result is exact.
+    `rows_before`, for the log record only, is the row count of the matrix
+    the core was eliminated from; None means the core is the whole matrix.
 
     Raises:
         ArithmeticError: if the determinant is not +-t^c times a symmetric
@@ -475,9 +478,10 @@ def _core_det(dense: list[list[list[int]]]) -> list[int]:
     if (h + 2) ** 2 >= primes[-1]:
         raise ArithmeticError(f"no prime left above {(h + 2) ** 2} for {h + 2} points")
     logging.getLogger(__name__).debug(
-        "dense core: %d rows, degrees %d..%d, centre %d, h %d, coefficient bound %d bits,"
-        " %d primes",
-        m, lo, hi, c, h, (bound_sq.bit_length() + 1) // 2, len(primes),
+        "dense core: %d rows of %d, degrees %d..%d, centre %d, h %d, coefficient bound"
+        " %d bits, %d primes",
+        m, m if rows_before is None else rows_before, lo, hi, c, h,
+        (bound_sq.bit_length() + 1) // 2, len(primes),
     )
 
     t = np.arange(1, h + 3, dtype=np.int64)
@@ -681,9 +685,11 @@ def alexander(pd: PlanarDiagram) -> LaurentPoly:
     """
     if pd.crossing_count == 0:
         return LaurentPoly.one()
-    dense = _dense_core(_wirtinger_rows(pd))
+    rows = _wirtinger_rows(pd)
+    rows_before = len(rows)  # for the log: _dense_core eliminates rows in place
+    dense = _dense_core(rows)
     # the determinant up to a unit +-t^k, which normalize() removes
-    det = LaurentPoly() if dense is None else LaurentPoly(enumerate(_core_det(dense)))
+    det = LaurentPoly() if dense is None else LaurentPoly(enumerate(_core_det(dense, rows_before)))
     if not det:
         raise ArithmeticError("singular Alexander matrix: malformed diagram")
     if det.span % 2:  # `_core_det` rules this out; normalize() could not centre it

@@ -9,7 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conway_oracle import alexander_via_conway, gauss_code, torus_alexander
-from knotfold.alexander import _primes, alexander, project, same_knot_certificate
+from knotfold import cli
+from knotfold.alexander import _primes, _wirtinger_rows, alexander, project, same_knot_certificate
+from knotfold.bounds import Provenance
+from knotfold.cli import _along_x
 from knotfold.diagram import build_diagram, same_r1_reduced_code
 from knotfold.errors import MultiComponent, NoRegularShear
 from knotfold.grid import grid_to_planar, parse_grid, random_grid
@@ -82,7 +85,7 @@ class TestAlexander:
         # 1 + t passes the palindrome test but cannot be centred; it must
         # fail as a self-test, not escape from normalize() as ValueError
         engine = importlib.import_module("knotfold.alexander")  # the package attribute is the function
-        monkeypatch.setattr(engine, "_core_det", lambda dense: [1, 1])
+        monkeypatch.setattr(engine, "_core_det", lambda dense, rows_before: [1, 1])
         with pytest.raises(ArithmeticError, match="self-test failed: 1 \\+ t cannot be centred"):
             alexander(grid_to_planar(parse_grid("X: 1,2,3,4,5\nO: 3,4,5,1,2\n")))
 
@@ -92,8 +95,11 @@ class TestAlexander:
             poly = alexander(pd)
         records = [r for r in caplog.records if r.name == "knotfold.alexander"]
         assert len(records) == 1
-        rows, lo, hi, centre, h, bits, primes = records[0].args
+        rows, rows_before, lo, hi, centre, h, bits, primes = records[0].args
         assert rows == 7
+        # the Wirtinger rows the core was eliminated from
+        assert rows_before == len(_wirtinger_rows(pd)) == 28
+        assert records[0].getMessage().startswith("dense core: 7 rows of 28, degrees ")
         # the polynomial's span is at most twice the distance from the
         # centre to the nearer end of the degree range [lo, hi]
         assert lo <= centre <= hi and h == min(centre - lo, hi - centre)
@@ -173,11 +179,14 @@ class TestProject:
         for entry, res in corpus_pipelines:
             base = alexander(grid_to_planar(entry.diagram))
             for step in (1, 2, 3):
-                poly = alexander(project(res.stages[step].knot))
+                knot = res.stages[step].knot
+                poly = alexander(project(knot))
                 assert same_knot_certificate(base, poly) == "consistent", (
                     entry.name,
                     step,
                 )
+                if step > 1:  # `certify` computes these along x
+                    assert alexander(project(_along_x(knot))) == poly, (entry.name, step)
 
 
 def test_step1_code_match_gives_the_base_polynomial_on_the_corpus(corpus_pipelines):
@@ -188,11 +197,15 @@ def test_step1_code_match_gives_the_base_polynomial_on_the_corpus(corpus_pipelin
         assert alexander(pd) == alexander(base) == entry.alexander, entry.name
 
 
-@pytest.mark.parametrize("g,seed", [
+# the stage gates' random diagrams: seeds 0-5 up to g = 64, seed 1 above
+STAGE_GATE_GRIDS = [
     *((g, seed) for g in (2, 3, 5, 8, 13, 20, 32, 48, 64) for seed in range(6)),
     (96, 1),
     (128, 1),
-])
+]
+
+
+@pytest.mark.parametrize("g,seed", STAGE_GATE_GRIDS)
 def test_step1_code_match_gives_the_base_polynomial(g, seed):
     # `certify` takes the base polynomial for step 1 on a match, so the
     # polynomial it skips must be that one
@@ -201,6 +214,38 @@ def test_step1_code_match_gives_the_base_polynomial(g, seed):
     pd = project(run_pipeline(d, max_step=1).stages[1].knot)
     assert same_r1_reduced_code(pd, base)
     assert alexander(pd) == alexander(base)
+
+
+def test_along_x_maps_every_corner_to_y_z_x():
+    knot = settle(parse_grid("X: 1,2,3,4,5\nO: 3,4,5,1,2\n"))
+    turned = _along_x(knot)
+    assert turned.corners == tuple((y, z, x) for x, y, z in knot.corners)
+    assert _along_x(LatticeKnot(((1, 2, 3), (4, 2, 3)))).corners == ((2, 3, 1), (2, 3, 4))
+    # three turns are the identity: a cyclic permutation, never a mirror
+    assert _along_x(_along_x(turned)) == knot
+
+
+@pytest.mark.parametrize("g,seed", STAGE_GATE_GRIDS)
+def test_x_projection_gives_the_base_polynomial(g, seed):
+    # `certify` computes the step-2 and step-3 polynomials along x, where
+    # the Wirtinger matrix has fewer rows; they must be the z-projection's
+    d = random_grid(g, seed)
+    base = alexander(grid_to_planar(d))
+    res = run_pipeline(d)
+    for step in (2, 3):
+        knot = res.stages[step].knot
+        assert alexander(project(_along_x(knot))) == alexander(project(knot)) == base, step
+
+
+def test_certify_projects_steps_2_and_3_along_x(monkeypatch):
+    diagram = random_grid(20, 1)
+    stages = run_pipeline(diagram).stages
+    seen = []
+    monkeypatch.setattr(cli, "project", lambda knot: seen.append(knot) or project(knot))
+    certificates = cli._certify_spec(Provenance(label="r", g=20), diagram, None, 3)
+    assert all(c.passed for c in certificates)
+    # step 1 along z for its code match, then steps 2 and 3 along x
+    assert seen == [stages[1].knot, _along_x(stages[2].knot), _along_x(stages[3].knot)]
 
 
 class TestCertificates:

@@ -12,8 +12,8 @@ from knotfold.alexander import project
 from knotfold.bounds import theorem_len_bound, theorem_rop_bound
 from knotfold import cli
 from knotfold.cli import main
-from knotfold.diagram import PlanarDiagram, r1_reduced_code
-from knotfold.grid import random_grid, serialize_grid
+from knotfold.diagram import PlanarDiagram, r1_reduced_code, same_r1_reduced_code
+from knotfold.grid import grid_to_planar, random_grid, serialize_grid
 from knotfold.lattice import parse_lattice
 
 
@@ -363,10 +363,9 @@ class TestCertify:
         assert f"edges_le_len_bound_c{count}:" in stdout and "FAIL" not in stdout
 
     def test_step1_without_a_code_match_computes_its_polynomial(self, tmp_path, capsys, monkeypatch):
-        # in the step-1 projection of random_grid(8, 2), one crossing's over
-        # pass lies on the arc that ends at its own under pass, so its
-        # Wirtinger relation reads x_{j+1} = x_j whatever its sign: flipping
-        # that sign breaks the code match and keeps the polynomial
+        # flipping the sign of one crossing of the step-1 projection along z
+        # breaks its code match; the fallback then projects the unflipped
+        # knot along x, so the flipped diagram never reaches `alexander`
         calls = []
         alexander = cli.alexander
         monkeypatch.setattr(cli, "alexander", lambda pd: calls.append(pd) or alexander(pd))
@@ -375,28 +374,31 @@ class TestCertify:
         assert len(calls) == 3  # base, step 2 and step 3
 
         def flip_one_sign(pd):
-            unders = {c.under_in for c in pd.crossings}
-            m = 2 * len(pd.crossings)
+            # the first crossing whose flip breaks the match: a kink's does not
+            base = grid_to_planar(random_grid(8, 2))
+            for i, crossing in enumerate(pd.crossings):
+                crossings = list(pd.crossings)
+                crossings[i] = replace(crossing, sign=-crossing.sign)
+                if not same_r1_reduced_code(PlanarDiagram(tuple(crossings)), base):
+                    return PlanarDiagram(tuple(crossings))
 
-            def over_on_incoming_arc(c):
-                between = [(c.under_in - k) % m for k in range(1, (c.under_in - c.over_in) % m)]
-                return len(between) > 0 and not unders & set(between)
-
-            i = next(i for i, c in enumerate(pd.crossings) if over_on_incoming_arc(c))
-            crossings = list(pd.crossings)
-            crossings[i] = replace(crossings[i], sign=-crossings[i].sign)
-            return PlanarDiagram(tuple(crossings))
-
-        stages = []
+        projected, flipped = [], []
 
         def project_flipping_step1(knot):
-            stages.append(knot)  # certify projects the stages in step order
-            return flip_one_sign(project(knot)) if len(stages) == 1 else project(knot)
+            projected.append(knot)  # certify projects the stages in step order
+            if len(projected) > 1:
+                return project(knot)
+            flipped.append(flip_one_sign(project(knot)))
+            return flipped[0]
 
         monkeypatch.setattr(cli, "project", project_flipping_step1)
         calls.clear()
         assert run(capsys, *spec, "--out", str(tmp_path / "b"))[0] == 0
+        # step 1 along z, then the step-1 fallback, step 2 and step 3 along x
+        assert len(projected) == 4
+        assert projected[1] == cli._along_x(projected[0])
         assert len(calls) == 4  # the fallback computes step 1 as well
+        assert all(pd is not flipped[0] for pd in calls)
         for name in ("random_g8_s2.cert.txt", "random_g8_s2.cert.json"):
             assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
 
