@@ -30,7 +30,7 @@ from .grid import GridDiagram, grid_to_planar, parse_grid, random_grid
 from .lattice import LatticeKnot, parse_lattice, serialize_lattice, validate_lattice
 from .laurent import LaurentPoly
 from .pipeline import run_pipeline
-from .rope import check_density, export_geometry, rope_metrics, smooth
+from .rope import _polyline, check_density, export_geometry, rope_metrics, smooth
 
 
 def _steps_arg(text: str) -> int:
@@ -320,6 +320,9 @@ def cmd_export(args) -> int:
     for prov, diagram, _ in _resolve_inputs(args):
         result = run_pipeline(diagram, max_step=args.steps)
         metric_lines = []
+        # the stages of one diagram share most arc coordinate columns, so
+        # their polylines share one table; it ends with the diagram
+        columns: dict = {}
         for step in sorted(result.stages):
             stage = result.stages[step]
             sk = smooth(stage.knot)
@@ -327,7 +330,7 @@ def cmd_export(args) -> int:
             base = out / f"{prov.label}.step{step}"
             if args.format in ("polyline", "both"):
                 base.with_name(base.name + ".polyline.txt").write_text(
-                    export_geometry(sk, "polyline", density=args.density)
+                    _polyline(sk, args.density, columns)
                 )
             if args.format in ("arcs", "both"):
                 base.with_name(base.name + ".arcs.txt").write_text(

@@ -97,29 +97,23 @@ def smooth(k: LatticeKnot) -> SmoothKnot:
         if c == k.corners[(i + 1) % len(k.corners)]:
             raise DegenerateKnot(f"zero-length stick at corner {c}")
     k = canonicalize(k)
-    corners = [tuple(2 * v for v in c) for c in k.corners]
-    m = len(corners)
-    dirs = []
-    for i in range(m):
-        p, q = corners[i], corners[(i + 1) % m]
-        d = tuple((q[j] - p[j]) and (1 if q[j] > p[j] else -1) for j in range(3))
-        dirs.append(d)
+    corners = [(2 * c[0], 2 * c[1], 2 * c[2]) for c in k.corners]
+    after = corners[1:] + corners[:1]
+    # dirs[i] is the unit step from corner i to corner i + 1
+    dirs = [
+        ((qx > px) - (qx < px), (qy > py) - (qy < py), (qz > pz) - (qz < pz))
+        for (px, py, pz), (qx, qy, qz) in zip(corners, after)
+    ]
     pieces: list[object] = []
-    for i in range(m):
-        u = dirs[(i - 1) % m]  # incoming direction at corner i
-        v = dirs[i]  # outgoing
-        p = corners[i]
-        center = tuple(p[j] - u[j] + v[j] for j in range(3))
-        arc = ArcPiece(center=center, u=tuple(-x for x in v), v=u)
-        q = corners[(i + 1) % m]
-        seg = StraightPiece(
-            start=tuple(p[j] + v[j] for j in range(3)),
-            end=tuple(q[j] - v[j] for j in range(3)),
-        )
+    # at each corner p, u is the incoming direction and v the outgoing one
+    for (px, py, pz), (qx, qy, qz), (ux, uy, uz), (vx, vy, vz) in zip(
+        corners, after, dirs[-1:] + dirs, dirs
+    ):
+        arc = ArcPiece((px - ux + vx, py - uy + vy, pz - uz + vz), (-vx, -vy, -vz), (ux, uy, uz))
+        seg = StraightPiece((px + vx, py + vy, pz + vz), (qx - vx, qy - vy, qz - vz))
         if arc.end != seg.start:
             raise AssertionError("arc/straight tangency broke; construction bug")
-        pieces.append(arc)
-        pieces.append(seg)
+        pieces += (arc, seg)
     return SmoothKnot(pieces=tuple(pieces))
 
 
@@ -651,43 +645,46 @@ def export_geometry(s: SmoothKnot, form: str = "polyline", density: int = 32) ->
     polyline: closed 3D polyline, one `x y z` line per vertex, each
     coordinate printed with `.17g`: `density` samples per arc (8..4096,
     else BadDensity), at theta_j = j*(pi/2)/density for j < density, plus
-    one vertex at the start of every positive-length straight piece.
+    one vertex at the start of every positive-length straight piece.  Each
+    arc coordinate column is formatted once per call (`_polyline`).
     arcs: exact piece records `SEG x0 y0 z0 x1 y1 z1` and
     `ARC cx cy cz ux uy uz vx vy vz`, integer coordinates throughout.
     """
     if form == "arcs":
-        lines = []
-        for p in s.pieces:
-            if isinstance(p, ArcPiece):
-                lines.append(
-                    "ARC " + " ".join(str(v) for v in (*p.center, *p.u, *p.v))
-                )
-            else:
-                lines.append("SEG " + " ".join(str(v) for v in (*p.start, *p.end)))
-        return "\n".join(lines) + "\n"
+        return "".join(
+            ("ARC" + " %d" * 9 + "\n") % (*p.center, *p.u, *p.v)
+            if isinstance(p, ArcPiece)
+            else ("SEG" + " %d" * 6 + "\n") % (*p.start, *p.end)
+            for p in s.pieces
+        )
     if form != "polyline":
         raise ValueError(f"unknown form {form!r}")
     check_density(density)
-    trig = [(math.cos(t), math.sin(t)) for t in (j * _QUARTER / density for j in range(density))]
-    # one axis of an arc sample is c + cos*a + sin*b, ArcPiece.point's float
-    # expression, so its column of formatted strings depends only on
-    # (c, a, b), and arcs share columns: format each key once per call
-    columns: dict[tuple[int, int, int], list[str]] = {}
+    return _polyline(s, density, {})
 
-    def column(key: tuple[int, int, int]) -> list[str]:
+
+def _polyline(s: SmoothKnot, density: int, columns: dict) -> str:
+    """`export_geometry`'s polyline text.  An arc sample's axis is c + cos*a +
+    sin*b, ArcPiece.point's float expression, so its column of text depends
+    only on (c, a, b) and the separator after each number, a space or a newline;
+    `columns` holds them by that key, and curves at one density may share it."""
+    trig = [(math.cos(t), math.sin(t)) for t in (j * _QUARTER / density for j in range(density))]
+
+    def column(key: tuple[int, int, int, str]) -> list[str]:
         col = columns.get(key)
         if col is None:
-            c, a, b = key
-            col = columns[key] = [f"{c + ct * a + st * b:.17g}" for ct, st in trig]
+            c, a, b, sep = key
+            col = columns[key] = [f"{c + ct * a + st * b:.17g}{sep}" for ct, st in trig]
         return col
 
-    lines: list[str] = []
+    parts: list[str] = []
     for p in s.pieces:
         if isinstance(p, ArcPiece):
-            lines.extend(map(" ".join, zip(*map(column, zip(p.center, p.u, p.v)))))
-        elif p.length > 0:
-            lines.append(" ".join(f"{float(v):.17g}" for v in p.start))
-    return "\n".join(lines) + "\n"
+            xyz = map(column, zip(p.center, p.u, p.v, "  \n"))
+            parts.append("".join(chain.from_iterable(zip(*xyz))))
+        elif p.start != p.end:
+            parts.append("%.17g %.17g %.17g\n" % p.start)
+    return "".join(parts)
 
 
 def import_polyline(text: str) -> list[tuple[float, float, float]]:
@@ -696,10 +693,13 @@ def import_polyline(text: str) -> list[tuple[float, float, float]]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise MalformedInput(f"expected 'x y z', got {line!r}")
-        verts.append(tuple(float(p) for p in parts))
+        try:
+            x, y, z = map(float, line.split())
+        except ValueError as exc:
+            raise MalformedInput(f"expected 'x y z', got {line!r}") from exc
+        if not all(abs(v) <= _MAX_COORD for v in (x, y, z)):  # nan compares false too
+            raise MalformedInput(f"coordinate not finite or beyond 2**50 in magnitude in {line!r}")
+        verts.append((x, y, z))
     if not verts:
         raise MalformedInput("no vertices found")
     return verts

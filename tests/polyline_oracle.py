@@ -1,9 +1,11 @@
 """Per-vertex polyline export: every sample through ArcPiece.point.
 
-A reference for the column-cached polyline export in knotfold.rope.  It
-computes cos and sin again for every sample and formats the three
-coordinates of every vertex one by one, as the export did before arcs
-shared their formatted coordinate columns.  Both must give equal bytes.
+A reference for the column-cached polyline export in knotfold.rope, which
+formats each arc coordinate column once per call, or once per input
+diagram in `knotfold export`.  The oracle computes cos and sin again for
+every sample and formats the three coordinates of every vertex one by one,
+as the export did before arcs shared their formatted coordinate columns.
+Both must give equal bytes.
 """
 
 from knotfold.rope import _QUARTER, ArcPiece, SmoothKnot

@@ -13,7 +13,14 @@ from hypothesis import strategies as st
 from knotfold.errors import KnotfoldError
 from knotfold.grid import parse_grid, validate_grid
 from knotfold.lattice import LatticeKnot, parse_lattice, serialize_lattice
-from knotfold.rope import export_geometry, import_geometry, rope_metrics, smooth
+from knotfold.rope import (
+    _MAX_COORD,
+    export_geometry,
+    import_geometry,
+    import_polyline,
+    rope_metrics,
+    smooth,
+)
 
 FUZZ = settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -170,3 +177,21 @@ def test_import_geometry_then_metrics_refuse_only_with_knotfold_errors(text):
         metrics = rope_metrics(curve)
         assert metrics.length >= 0.0
         assert metrics.thickness_radius >= 0.0
+
+
+float_texts = st.one_of(
+    st.floats().map(repr),
+    st.integers().map(str),
+    st.sampled_from(["nan", "-inf", "Infinity", "1e999", "-1e-999", "0x1", "1_0", "", "x", "٣"]),
+)
+
+
+@FUZZ
+@given(st.one_of(lines_of(lines_of(float_texts, " "), "\n"), st.text(max_size=60)))
+@example("nan 1 2\ninf -inf 0\n1e999 0 0\n")
+@example(f"{2**50} 0 0\n{2**50 + 1} 0 0\n")
+def test_import_polyline_refuses_only_with_knotfold_errors(text):
+    verts = accepts(import_polyline, text)
+    if verts is not None:
+        assert verts and all(len(v) == 3 for v in verts)
+        assert all(abs(c) <= _MAX_COORD for v in verts for c in v)

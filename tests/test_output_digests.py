@@ -4,8 +4,11 @@ The SHA-256 of every lattice file and ``.reports.txt`` fold report written
 by ``build``, every certificate written by ``certify`` and every
 ``.arcs.txt``, ``.polyline.txt`` and ``.metrics.txt`` file written by
 ``export`` is recorded in data/output_digests.json for the corpus and for
-seeded random diagrams with g <= 20.  A change that is meant to keep
-results unchanged must leave all of them byte-identical.
+seeded random diagrams with g <= 20.  The ``export-*`` groups run only
+``export``, on corpus 3_1 and on two g = 8 diagrams, with options other
+than the defaults: densities 8 and 4096, and each single format.  A
+change that is meant to keep results unchanged must leave all of them
+byte-identical.
 After a deliberate change of output, rerun this file as a script
 (``PYTHONPATH=src python tests/test_output_digests.py``) to record the new
 digests.
@@ -21,16 +24,34 @@ import pytest
 from knotfold.cli import main
 
 DIGESTS = Path(__file__).parent / "data" / "output_digests.json"
-GROUPS = {"corpus": ["--corpus", "all"]}
-GROUPS.update({f"g{g}": ["--random", f"g={g},seed=0,count=2"] for g in range(2, 21)})
+ALL_COMMANDS = ("build", "certify", "export")
+GROUPS = {"corpus": (ALL_COMMANDS, ["--corpus", "all"])}
+GROUPS.update(
+    {f"g{g}": (ALL_COMMANDS, ["--random", f"g={g},seed=0,count=2"]) for g in range(2, 21)}
+)
+EXPORT_INPUTS = {"3_1": ["--corpus", "3_1"], "g8": ["--random", "g=8,seed=0,count=2"]}
+EXPORT_OPTIONS = {
+    "density8": ["--density", "8"],
+    "density4096": ["--density", "4096"],
+    "polyline": ["--format", "polyline"],
+    "arcs": ["--format", "arcs"],
+}
+GROUPS.update(
+    {
+        f"export-{name}-{option}": (("export",), [*inputs, *flags])
+        for name, inputs in EXPORT_INPUTS.items()
+        for option, flags in EXPORT_OPTIONS.items()
+    }
+)
 
 
 def output_digests(group: str, workdir: Path) -> dict[str, str]:
-    """Digests of the lattice, certificate and export files for one input group."""
+    """Digests of the files that one group's commands write."""
+    commands, args = GROUPS[group]
     digests = {}
-    for command in ("build", "certify", "export"):
+    for command in commands:
         out = workdir / command
-        code = main([command, *GROUPS[group], "--out", str(out)])
+        code = main([command, *args, "--out", str(out)])
         assert code == 0, f"{command} {group} exited {code}"
         for path in sorted(out.iterdir()):
             digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()

@@ -1,12 +1,15 @@
 """The column-cached polyline export against the per-vertex oracle.
 
-The export formats each arc coordinate column once per call; the oracle
-formats every coordinate of every vertex.  The text must agree byte for
-byte, at every density and wherever the curve lies.
+The export formats each arc coordinate column once per call, and
+`knotfold export` once per input diagram, its stages sharing one table;
+the oracle formats every coordinate of every vertex.  The text must agree
+byte for byte, at every density and wherever the curve lies.
 """
 
 import pytest
 
+from knotfold.cli import main
+from knotfold.corpus import load_corpus
 from knotfold.grid import random_grid
 from knotfold.pipeline import run_pipeline
 from knotfold.rope import _MAX_COORD, export_geometry, import_geometry, smooth
@@ -15,9 +18,15 @@ from polyline_oracle import export_polyline_oracle
 DENSITIES = (8, 9, 31, 32, 33, 64, 90, 257)
 
 
+def assert_same_text(got, want, label):
+    # as lines, so that a failure reports the first line that differs
+    # instead of diffing texts of up to a million lines
+    assert got.splitlines(True) == want.splitlines(True), label
+
+
 def assert_matches_oracle(s, density, label):
     got = export_geometry(s, "polyline", density=density)
-    assert got == export_polyline_oracle(s, density), (label, density)
+    assert_same_text(got, export_polyline_oracle(s, density), (label, density))
 
 
 def shifted(s, offset):
@@ -75,3 +84,49 @@ def test_imported_curves_far_from_the_origin(corpus_pipelines):
             moved = shifted(s, offset)
             for density in DENSITIES:
                 assert_matches_oracle(moved, density, offset)
+
+
+def assert_export_matches_oracle(out, inputs, density):
+    """Every stage's .polyline.txt under `out` equals the oracle's text."""
+    names = []
+    for label, diagram in inputs:
+        res = run_pipeline(diagram)
+        for step, stage in sorted(res.stages.items()):
+            names.append(f"{label}.step{step}.polyline.txt")
+            want = export_polyline_oracle(smooth(stage.knot), density)
+            assert_same_text((out / names[-1]).read_text(), want, (label, step, density))
+    assert sorted(p.name for p in out.glob("*.polyline.txt")) == sorted(names) != []
+
+
+def random_inputs(g):
+    return [(f"random_g{g}_s{seed}", random_grid(g, seed)) for seed in (0, 1)]
+
+
+@pytest.mark.parametrize(
+    "g, density",
+    [(g, d) for g in ("all", 8, 20, 48, 64) for d in (8, 32)] + [("3_1,4_1", 4096), (8, 4096)],
+)
+def test_cli_export_shares_columns_across_stages(g, density, tmp_path):
+    # one command, several diagrams: each diagram's stages share one table;
+    # a str g names corpus knots (4096 on the whole corpus takes the oracle 12 s)
+    if isinstance(g, str):
+        names = g.split(",")
+        entries = [e for e in load_corpus() if g == "all" or e.name in names]
+        args, inputs = ["--corpus", g], [(e.name, e.diagram) for e in entries]
+    else:
+        args, inputs = ["--random", f"g={g},seed=0,count=2"], random_inputs(g)
+    out = tmp_path / "o"
+    flags = ["--format", "polyline", "--density", str(density), "--out", str(out)]
+    assert main(["export", *args, *flags]) == 0
+    assert_export_matches_oracle(out, inputs, density)
+
+
+def test_cli_export_tables_end_with_their_diagram(tmp_path):
+    # the same diagrams at two densities in a row share every column key, so
+    # a table kept from the first command would give the second wrong text
+    inputs = random_inputs(8)
+    for density in (32, 9):
+        out = tmp_path / f"d{density}"
+        args = ["--random", "g=8,seed=0,count=2", "--density", str(density), "--out", str(out)]
+        assert main(["export", *args]) == 0
+        assert_export_matches_oracle(out, inputs, density)

@@ -158,11 +158,25 @@ class TestExport:
         with pytest.raises(MalformedInput):
             import_polyline("1 2\n")
         with pytest.raises(MalformedInput):
+            import_polyline("1 2 z\n")
+        with pytest.raises(MalformedInput):
             import_geometry("CIRCLE 1 2 3\n")
         with pytest.raises(MalformedInput):
             import_geometry("")
         with pytest.raises(MalformedInput, match="2\\*\\*50"):
             import_geometry(f"SEG {2**50 + 1} 0 0 0 0 0\n")
+
+    @pytest.mark.parametrize(
+        "line",
+        ["nan 1 2", "inf -inf 0", "1e999 0 0", "0 -NaN 0", f"0 0 {2**50 + 1}", f"{-(2**51)}.5 0 0"],
+    )
+    def test_import_polyline_refuses_non_finite_or_huge(self, line):
+        with pytest.raises(MalformedInput, match="2\\*\\*50"):
+            import_polyline(f"0 0 0\n{line}\n")
+
+    def test_import_polyline_reads_back_the_largest_coordinates(self):
+        # the largest magnitudes import_geometry accepts
+        assert import_polyline(f"{2**50} {-(2**50)} 0\n") == [(2.0**50, -(2.0**50), 0.0)]
 
     @pytest.mark.parametrize(
         "record",
