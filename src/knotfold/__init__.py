@@ -4,8 +4,8 @@ The pipeline settles a grid diagram into the cubic lattice, shortens it
 with a horizontal and a vertical fold, certifies the resulting edge
 counts against closed-form bounds in the grid index and crossing number,
 and rounds the doubled result into a smooth rope whose unit thickness is
-verified numerically.  Knot-type preservation across stages is certified
-with Alexander polynomials.
+proved by a finite check of lattice windows.  Knot-type preservation
+across stages is certified with Alexander polynomials.
 """
 
 from .alexander import ProjectionDiagram, alexander, project, same_knot_certificate

@@ -144,8 +144,15 @@ def _provenance_int(header: dict, key: str) -> int | None:
     raise MalformedInput(f"provenance {key} must be an integer, not {value!r}")
 
 
-def _read_provenance(header: dict, label: str) -> Provenance | None:
-    """The provenance, labelled `label`, that a lattice-file header records; None without g."""
+def _read_provenance(header: dict, label: str, knot: LatticeKnot) -> Provenance | None:
+    """The provenance, labelled `label`, that the header of `knot`'s lattice file
+    records; None without g.
+
+    When `source` names a corpus entry and the header makes a claim about
+    it, every claim field must be the entry's, and a self-avoiding knot must
+    have the entry's Alexander polynomial.  The corpus polynomials are
+    pairwise distinct, so no corpus file passes for another corpus knot.
+    """
     g = _provenance_int(header, "g")
     step = _provenance_int(header, "step")
     if step not in (None, 1, 2, 3):
@@ -176,6 +183,13 @@ def _read_provenance(header: dict, label: str) -> Provenance | None:
                  for f in ("g", *claims) if getattr(prov, f) != getattr(entry, f)]
         if wrong:
             raise MalformedInput(f"provenance disagrees with corpus entry {entry.name}: " + ", ".join(wrong))
+        if validate_lattice(knot).ok:
+            poly = alexander(project(_along_x(knot)))
+            if same_knot_certificate(poly, entry.alexander) != "consistent":
+                raise MalformedInput(
+                    f"the knot's Alexander polynomial {poly.normalize()} is not that of "
+                    f"corpus entry {entry.name}, {entry.alexander.normalize()}"
+                )
     return prov
 
 
@@ -278,7 +292,7 @@ def cmd_certify(args) -> int:
         for path in args.lattice:
             knot, header = parse_lattice(_read_input(path))
             label = header.get("source", Path(path).stem)
-            prov = _read_provenance(header, label)
+            prov = _read_provenance(header, label, knot)
             if prov is None:
                 report = validate_lattice(knot)
                 ok = report.ok

@@ -9,12 +9,13 @@ from pathlib import Path
 import pytest
 
 from knotfold.alexander import project
-from knotfold.bounds import theorem_len_bound, theorem_rop_bound
+from knotfold.bounds import Provenance, theorem_len_bound, theorem_rop_bound
 from knotfold import cli
 from knotfold.cli import main
+from knotfold.corpus import load_corpus
 from knotfold.diagram import PlanarDiagram, r1_reduced_code, same_r1_reduced_code
 from knotfold.grid import grid_to_planar, random_grid, serialize_grid
-from knotfold.lattice import parse_lattice
+from knotfold.lattice import parse_lattice, serialize_lattice
 
 
 SQUARE = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]
@@ -343,6 +344,37 @@ class TestCertify:
             assert code == 0, path.name
             assert stdout.splitlines() == want, path.name
 
+    def test_relabelled_corpus_files_exit_2(self, tmp_path, capsys):
+        # each corpus step file, its header rewritten as every corpus knot of
+        # larger crossing number would write it: 84 files, which the claim
+        # fields alone cannot refute.  4_1's step 3 as 5_1 used to pass
+        corpus = load_corpus()
+        polys = {str(e.alexander.normalize()) for e in corpus}
+        assert len(polys) == len(corpus)  # pairwise distinct
+        out = tmp_path / "o"
+        assert run(capsys, "build", "--corpus", "all", "--out", str(out))[0] == 0
+        relabelled = tmp_path / "relabelled"
+        relabelled.mkdir()
+        count = 0
+        for entry in corpus:
+            for step in (1, 2, 3):
+                knot, header = parse_lattice((out / f"{entry.name}.step{step}.txt").read_text())
+                for other in corpus:
+                    if other.crossing_number <= entry.crossing_number:
+                        continue
+                    prov = Provenance(label=other.name, g=other.g,
+                                      crossing_number=other.crossing_number,
+                                      nonalternating_prime=other.nonalternating_prime,
+                                      known_minimum_edges=other.known_minimum_edges)
+                    path = relabelled / f"{entry.name}.step{step}.as.{other.name}.txt"
+                    sides = header["sides"].split(",")
+                    path.write_text(serialize_lattice(knot, cli._provenance_dict(prov, step, sides)))
+                    code, stdout, stderr = run(capsys, "certify", "--lattice", str(path), "--out", str(out))
+                    assert code == 2 and stdout == "", path.name
+                    assert f"is not that of corpus entry {other.name}" in stderr, path.name
+                    count += 1
+        assert count == 84
+
     def test_crossing_number_above_the_reduced_projection_exit_2(self, tmp_path, capsys):
         # outside the corpus the header's crossing_number is refuted only by
         # a diagram of the knot with fewer crossings: its R1-reduced projection
@@ -581,15 +613,17 @@ import knotfold, knotfold.cli
 knotfold.load_corpus()
 stages["import"] = added()
 codes.append(knotfold.cli.main(["build", "--corpus", "all", "--out", str(out / "lat")]))
-lattice = []
+lattice = {False: [], True: []}  # by torus knot
 for path in sorted((out / "lat").glob("*.step*.*")):
-    lattice += ["--lattice", str(path)]
-codes.append(knotfold.cli.main(["certify", *lattice, "--out", str(out / "lat-cert")]))
+    lattice[path.name.startswith("t")] += ["--lattice", str(path)]
+codes.append(knotfold.cli.main(["certify", *lattice[False], "--out", str(out / "lat-cert")]))
 codes.append(knotfold.cli.main(["certify", "--corpus", "3_1", "--out", str(out / "cert")]))
 stages["numpy-free commands"] = added()
+codes.append(knotfold.cli.main(["certify", *lattice[True], "--out", str(out / "lat-cert-t")]))
 codes.append(knotfold.cli.main(["certify", "--corpus", "t3_5", "--out", str(out / "t3_5")]))
 stages["t3_5"] = added()
-print(json.dumps({"codes": codes, "files": len(lattice) // 2, "stages": stages}))
+files = (len(lattice[False]) + len(lattice[True])) // 2
+print(json.dumps({"codes": codes, "files": files, "stages": stages}))
 """
 
 
@@ -605,9 +639,29 @@ def test_startup_and_numpy_free_commands_load_no_numpy(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout.splitlines()[-1])
-    assert report["codes"] == [0, 0, 0, 0]
+    assert report["codes"] == [0, 0, 0, 0, 0]
     assert report["files"] == 48  # 8 corpus knots, 3 steps, text and JSON
     assert report["stages"]["import"] == []
     assert report["stages"]["numpy-free commands"] == []
-    # t3_5 has a dense core of two or more rows, so the guard can see numpy
+    # the torus knots' Alexander polynomials have dense cores of two or more
+    # rows, both for their lattice files' knot-type check and for certify
+    # --corpus t3_5, so the guard can see numpy
     assert "numpy" in report["stages"]["t3_5"]
+
+
+def test_export_loads_no_numpy(tmp_path):
+    # export reports thickness 1 by the window lemma and measures nothing
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = (
+        "import sys, knotfold.cli\n"
+        "code = knotfold.cli.main(['export', '--corpus', '3_1', '--out', sys.argv[1]])\n"
+        "print(code, 'numpy' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False"
+    assert len(list((tmp_path / "o").glob("3_1.step*.arcs.txt"))) == 3

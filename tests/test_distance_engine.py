@@ -1,11 +1,9 @@
 """Fuzz the exact distance kernels against dense sampling.  These kernels
-decide the thickness certificate, so each one is checked under random
-axis-aligned configurations of the kind the pipeline produces (integer
-centers, unit axis frames, axis-parallel segments), and the arc-arc kernel
-also under every perpendicular frame pair at unit offsets.  The batched
-arc-segment kernel is checked against its scalar reference.  The general
-segment-segment kernel lives in the scan oracle: the scan itself measures
-two straights by their box gaps."""
+decide the lattice windows of the unit-thickness lemma and the brute-force
+self-distance oracle, so each one is checked under random axis-aligned
+configurations of the kind the pipeline produces (integer centers, unit
+axis frames, axis-parallel segments), and the arc-arc kernel also under
+every perpendicular frame pair at unit offsets."""
 
 import itertools
 import math
@@ -14,15 +12,15 @@ import random
 import numpy as np
 import pytest
 
-from knotfold.rope import (
-    ArcPiece,
+from knotfold.rope import ArcPiece
+from scan_oracle import (
     _arc_arc_dist,
-    _arc_seg_batch,
-    _point_arc_dist,
+    _arc_seg_dist,
     _pmul,
+    _point_arc_dist,
+    _seg_seg_batch,
     _unit_roots,
 )
-from scan_oracle import _arc_seg_dist, _seg_seg_batch
 
 AXES = [
     (1, 0, 0), (-1, 0, 0),
@@ -145,49 +143,6 @@ def test_arc_seg_flat_valley_terminates():
     assert _arc_seg_dist(arc, a2, b2) == pytest.approx(math.sqrt(1 + 4), abs=1e-12)
 
 
-def assert_arc_seg_batch_is_scalar(arcs, segs):
-    want = np.array([_arc_seg_dist(arc, a, b) for arc, (a, b) in zip(arcs, segs)])
-    rows = [np.array([getattr(arc, f) for arc in arcs], float) for f in ("center", "u", "v")]
-    ends = [np.array([seg[k] for seg in segs], float) for k in (0, 1)]
-    got = _arc_seg_batch(*rows, *ends)
-    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()  # bit for bit
-    return got
-
-
-def test_arc_seg_batch_is_the_scalar_kernel():
-    # the flat valleys of test_arc_seg_flat_valley_terminates, then every arc
-    # frame against segments along every axis, from every start in [-2, 2]^3
-    # around the center, of every signed length -3..3
-    valley = ArcPiece(center=(0, 0, 0), u=(1, 0, 0), v=(0, 1, 0))
-    arcs = [valley, valley]
-    segs = [((2, 0, -3), (2, 0, 3)), ((0, 0, 2), (0, 0, 5))]
-    for u, v in FRAMES:
-        arc = ArcPiece(center=(0, 0, 0), u=u, v=v)
-        for a in itertools.product(range(-2, 3), repeat=3):
-            for axis, length in itertools.product(range(3), range(-3, 4)):
-                b = list(a)
-                b[axis] += length
-                arcs.append(arc)
-                segs.append((a, tuple(b)))
-    assert len(arcs) == 2 + 24 * 125 * 3 * 7
-    assert_arc_seg_batch_is_scalar(arcs, segs)
-
-
-def test_arc_seg_batch_is_the_scalar_kernel_farther_out():
-    # at offsets of tens, np.hypot already parts from math.hypot (first at
-    # (27, 17)); the batched kernel must not
-    rng = random.Random(29)
-    arcs, segs = [], []
-    for _ in range(20000):
-        u, v = rng.choice(FRAMES)
-        arcs.append(ArcPiece(center=tuple(rng.randint(-40, 40) for _ in range(3)), u=u, v=v))
-        a = tuple(rng.randint(-40, 40) for _ in range(3))
-        b = list(a)
-        b[rng.randrange(3)] += rng.randint(-60, 60)
-        segs.append((a, tuple(b)))
-    assert_arc_seg_batch_is_scalar(arcs, segs)
-
-
 def test_arc_seg_in_plane_through_an_arc_end_is_exactly_zero():
     # an in-plane segment through an arc end touches the arc there.  The
     # endpoint candidates alone miss 0 by rounding: the foot of u on
@@ -207,7 +162,7 @@ def test_arc_seg_in_plane_through_an_arc_end_is_exactly_zero():
                     arcs += [arc, arc]
                     segs += [(tuple(a), tuple(b)), (tuple(b), tuple(a))]
     assert len(arcs) == 24 * 2 * 2 * 495 * 2
-    assert not assert_arc_seg_batch_is_scalar(arcs, segs).any()
+    assert not any(_arc_seg_dist(arc, a, b) for arc, (a, b) in zip(arcs, segs))
 
 
 def test_adversarial_product_valley_is_exact():

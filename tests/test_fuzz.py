@@ -14,7 +14,7 @@ from knotfold.errors import KnotfoldError
 from knotfold.grid import parse_grid, validate_grid
 from knotfold.lattice import LatticeKnot, parse_lattice, serialize_lattice
 from knotfold.rope import (
-    _MAX_COORD,
+    _MAX_ROPE_COORD,
     export_geometry,
     import_geometry,
     import_polyline,
@@ -127,7 +127,7 @@ def _records(knot):
 
 
 BASE_RECORDS = [_records(SQUARE), _records(L_SHAPE)]
-huge = st.one_of(st.integers(-5, 5), st.integers(), st.integers(2**48, 2**51))
+huge = st.one_of(st.integers(-5, 5), st.integers(), st.integers(2**48, 2**52))
 
 
 def _move(record, move):
@@ -173,10 +173,10 @@ def geometry_texts(draw):
 @example("\n".join(_move(r, _stretch(0, 1, 2**49)) for r in _records(SQUARE)))
 def test_import_geometry_then_metrics_refuse_only_with_knotfold_errors(text):
     curve = accepts(import_geometry, text)
-    if curve is not None:
-        metrics = rope_metrics(curve)
+    metrics = accepts(rope_metrics, curve) if curve is not None else None
+    if metrics is not None:
         assert metrics.length >= 0.0
-        assert metrics.thickness_radius >= 0.0
+        assert metrics.thickness_radius == 1.0
 
 
 float_texts = st.one_of(
@@ -189,9 +189,9 @@ float_texts = st.one_of(
 @FUZZ
 @given(st.one_of(lines_of(lines_of(float_texts, " "), "\n"), st.text(max_size=60)))
 @example("nan 1 2\ninf -inf 0\n1e999 0 0\n")
-@example(f"{2**50} 0 0\n{2**50 + 1} 0 0\n")
+@example(f"{2**51 + 1} 0 0\n{2**51 + 2} 0 0\n")
 def test_import_polyline_refuses_only_with_knotfold_errors(text):
     verts = accepts(import_polyline, text)
     if verts is not None:
         assert verts and all(len(v) == 3 for v in verts)
-        assert all(abs(c) <= _MAX_COORD for v in verts for c in v)
+        assert all(abs(c) <= _MAX_ROPE_COORD for v in verts for c in v)

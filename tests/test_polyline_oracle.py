@@ -12,7 +12,7 @@ from knotfold.cli import main
 from knotfold.corpus import load_corpus
 from knotfold.grid import random_grid
 from knotfold.pipeline import run_pipeline
-from knotfold.rope import _MAX_COORD, export_geometry, import_geometry, smooth
+from knotfold.rope import _MAX_ROPE_COORD, export_geometry, import_geometry, smooth
 from polyline_oracle import export_polyline_oracle
 
 DENSITIES = (8, 9, 31, 32, 33, 64, 90, 257)
@@ -74,12 +74,12 @@ def test_imported_curves_far_from_the_origin(corpus_pipelines):
     curves.append(smooth(run_pipeline(random_grid(16, 0)).stages[3].knot))
     for s in curves:
         lo, hi = extremes(s)
-        # wholly negative, and touching -2**50 and +2**50, the largest
-        # magnitude import_geometry accepts
+        # wholly negative, and touching -(2**51 + 1) and 2**51 + 1, the
+        # largest magnitude import_geometry accepts
         for offset in (
             [-1 - h for h in hi],
-            [-_MAX_COORD - m for m in lo],
-            [_MAX_COORD - h for h in hi],
+            [-_MAX_ROPE_COORD - m for m in lo],
+            [_MAX_ROPE_COORD - h for h in hi],
         ):
             moved = shifted(s, offset)
             for density in DENSITIES:

@@ -1,38 +1,24 @@
-"""The cell-hash thickness scan against the brute-force all-pairs oracle.
+"""The unit-thickness lemma against the brute-force all-pairs oracle.
 
-The scan stops at the clearance 2, and the oracle does not: twice the
-thickness radius must equal min(d, 2), where d is the oracle's minimum
-over all non-adjacent pairs.  The oracle measures arc-segment pairs with
-the scalar kernel that the scan's batched one reproduces operation for
-operation, and shares the arc-arc kernel with the scan; two straights the
-scan measures as boxes, which is exact.  So the two must agree to the last
-bit (==), not within a tolerance.
+`rope_metrics` reports thickness 1 for the rounding of every self-avoiding
+lattice polygon and refuses every other rope.  The oracle measures the
+least distance d over all non-adjacent pairs, so on pipeline knots twice
+the thickness radius must equal min(d, 2) exactly, which holds only where
+d >= 2.  On ropes that come closer than 2, `rope_metrics` must refuse.
 """
 
-import itertools
-import logging
 import math
 import random
-import tracemalloc
 
-import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from knotfold.errors import KnotfoldError
 from knotfold.grid import random_grid
-from knotfold.lattice import LatticeKnot, canonicalize
+from knotfold.lattice import LatticeKnot, canonicalize, validate_lattice
 from knotfold.pipeline import run_pipeline
-from knotfold import rope
-from knotfold.rope import (
-    ArcPiece,
-    _near_pairs,
-    _piece_arrays,
-    _piece_boxes,
-    _scan_pairs,
-    import_geometry,
-    rope_metrics,
-    smooth,
-)
+from knotfold.rope import export_geometry, import_geometry, rope_metrics, smooth
 from scan_oracle import min_self_distance_oracle
 
 
@@ -43,49 +29,16 @@ def assert_matches_oracle(knot, label):
     return got
 
 
-def box_distance_squared(lo1, hi1, lo2, hi2):
-    """Squared Euclidean distance between two integer boxes, in Python ints."""
-    return sum(max(0, l2 - h1, l1 - h2) ** 2 for l1, h1, l2, h2 in zip(lo1, hi1, lo2, hi2))
-
-
-@pytest.mark.parametrize("seed", [1, 2, 3, 4, 7, 16])
-def test_near_pairs_are_exactly_the_boxes_within_r(seed):
-    # r = 2: the pairs whose boxes are less than 2 apart, in Euclidean distance
-    rng = np.random.default_rng(seed)
-    lo = rng.integers(-20, 20, size=(150, 3))
-    size = rng.integers(0, 3, size=(150, 3))
-    size[np.arange(150), rng.integers(0, 3, size=150)] = rng.integers(0, 40, size=150)
-    hi = lo + size
-    want = {
-        (a, b)
-        for a, b in itertools.combinations(range(150), 2)
-        if box_distance_squared(lo[a].tolist(), hi[a].tolist(), lo[b].tolist(), hi[b].tolist()) < 4
-    }
-    i, j = _near_pairs(lo, hi)
-    assert sorted(zip(i.tolist(), j.tolist())) == sorted(want)
-
-
-def test_near_pairs_pinned_gaps():
-    # gaps (1, 1, 1) are sqrt(3) < 2 apart and kept; (2, 0, 0) is 2 apart and
-    # dropped, and so is a gap of 2**52, whose square overflows int64
-    big = 2**51
-    lo = np.array([(0, 0, 0), (2, 2, 2), (3, 0, 0), (-big, 0, 0), (big, 0, 0)], dtype=np.int64)
-    hi = np.array([(1, 1, 1), (5, 2, 2), (4, 1, 1), (-big, 0, 0), (big, 0, 0)], dtype=np.int64)
-    i, j = _near_pairs(lo, hi)
-    assert sorted(zip(i.tolist(), j.tolist())) == [(0, 1), (1, 2)]
-
-
-def test_piece_boxes_hold_their_pieces(corpus_pipelines):
-    s = smooth(corpus_pipelines[-1][1].stages[3].knot)
-    lo, hi = _piece_boxes(*_piece_arrays(s.pieces))
-    for p, a, b in zip(s.pieces, lo, hi):
-        if isinstance(p, ArcPiece):
-            points = [p.point(k * math.pi / 16) for k in range(9)]
-            assert sorted((b - a).tolist()) == [0, 2, 2]  # center +-1 in the arc's plane
-        else:
-            points = [p.start, p.end]
-        for q in points:
-            assert all(a[x] - 1e-12 <= q[x] <= b[x] + 1e-12 for x in range(3))
+def refused_below_two(s):
+    """The oracle's d for the rope `s`; `rope_metrics` must refuse `s` when
+    d < 2, and may report only thickness 1 otherwise."""
+    d = min_self_distance_oracle(s)
+    try:
+        thickness = rope_metrics(s).thickness_radius
+    except KnotfoldError:
+        return d
+    assert d >= 2.0 and thickness == 1.0, (d, thickness)
+    return d
 
 
 def test_corpus(corpus_pipelines):
@@ -115,77 +68,11 @@ def test_random_g48(seed):
         assert_matches_oracle(res.stages[step].knot, (48, seed, step))
 
 
-def test_chunk_size_does_not_change_the_minimum(corpus_pipelines, monkeypatch):
-    knots = [res.stages[step].knot for _, res in corpus_pipelines for step in (1, 2, 3)]
-    for g in range(2, 21):
-        res = run_pipeline(random_grid(g, 0))
-        knots += [res.stages[step].knot for step in (1, 2, 3)]
-    smoothed = [smooth(k) for k in knots]
-    want = [rope_metrics(s).thickness_radius for s in smoothed]
-    monkeypatch.setattr(rope, "_CHUNK", 7)
-    assert [rope_metrics(s).thickness_radius for s in smoothed] == want
-
-
-def weave(n):
-    """n rows along x, crossed by n columns along y, all in the plane z = 0:
-    a closed lattice curve (n even) that meets itself n * n times."""
-    top = 2 * n + 1
-    corners = []
-    for k in range(n):  # rows at odd y, alternately rightwards and back
-        ends = (0, 2 * n) if k % 2 == 0 else (2 * n, 0)
-        corners += [(ends[0], 2 * k + 1, 0), (ends[1], 2 * k + 1, 0)]
-    for k in range(n):  # columns at odd x, alternately down and back up
-        ends = (top, -1) if k % 2 == 0 else (-1, top)
-        corners += [(2 * k + 1, ends[0], 0), (2 * k + 1, ends[1], 0)]
-    corners += [(2 * n - 1, top + 2, 0), (-2, top + 2, 0), (-2, 1, 0)]
-    return LatticeKnot(tuple(corners))
-
-
-def scan_peak(n):
-    """tracemalloc peak of the pair scan on weave(n), and its pair count."""
-    pieces = smooth(weave(n)).pieces
-    arrays = _piece_arrays(pieces)
-    i, j = _near_pairs(*_piece_boxes(*arrays))
-    m = len(pieces) // 2
-    far = np.minimum((j - 1) // 2 - i // 2, (i - 1) // 2 + m - j // 2) > 1
-    arrays = tuple(x.astype(float) for x in arrays)
-    tracemalloc.start()
-    try:
-        assert _scan_pairs(pieces, arrays, i[far], j[far]) == 0.0
-        return tracemalloc.get_traced_memory()[1], int(far.sum())
-    finally:
-        tracemalloc.stop()
-
-
-def test_scan_memory_does_not_grow_with_pairs():
-    # the kernels run on chunks of pairs, so from weave(100) to weave(174)
-    # the pairs triple but the scan's peak stays well under twice as large;
-    # measuring every pair at once (a chunk as large as the pair count)
-    # nearly triples it
-    peak_small, pairs_small = scan_peak(100)
-    peak_large, pairs_large = scan_peak(174)
-    assert pairs_large > 2.5 * pairs_small
-    assert peak_large < 2 * peak_small
-
-
 @pytest.mark.parametrize("w,h", [(10, 3), (3, 10), (40, 25), (2, 2), (5, 1)])
 def test_rectangle_clearance_is_two(w, h):
-    # only opposite straights are non-adjacent, 2*min(w, h) apart once
-    # doubled; the scan stops at 2, and for min(w, h) > 1 it has no candidate
+    # only opposite straights are non-adjacent, 2*min(w, h) apart once doubled
     rect = LatticeKnot(((0, 0, 0), (w, 0, 0), (w, h, 0), (0, h, 0)))
     assert assert_matches_oracle(rect, (w, h)) == 2.0
-
-
-def test_one_debug_record_per_scan(caplog):
-    # the rectangle's only non-adjacent pairs are its opposite straights,
-    # 6 and 20 apart once doubled, so no pair is a candidate
-    caplog.set_level(logging.DEBUG, logger="knotfold.rope")
-    rect = LatticeKnot(((0, 0, 0), (10, 0, 0), (10, 3, 0), (0, 3, 0)))
-    assert rope_metrics(smooth(rect)).thickness_radius == 1.0
-    assert [rec.getMessage() for rec in caplog.records if rec.name == "knotfold.rope"] == [
-        "scan: 0 segment-segment, 0 arc-segment, 0 arc-arc candidate pairs; "
-        "0 arc-arc pairs to the scalar kernel"
-    ]
 
 
 def test_hexagon_through_three_planes():
@@ -227,9 +114,7 @@ def rope_of(corners):
     ],
 )
 def test_straights_closer_than_two(corners, d):
-    s = rope_of(corners)
-    assert rope_metrics(s).thickness_radius == d / 2
-    assert min_self_distance_oracle(s) == d
+    assert refused_below_two(rope_of(corners)) == d
 
 
 def random_turning_polygon(rng, sticks):
@@ -259,12 +144,69 @@ def random_turning_polygon(rng, sticks):
 
 @pytest.mark.parametrize("seed", [1, 5])
 def test_random_crossing_polygons(seed):
-    # unlike lattice knots these come closer than 2, down to touching, so
-    # a candidate the cell hash loses cannot hide behind another pair at 2
+    # unlike lattice knots these come closer than 2, down to touching;
+    # rope_metrics refuses exactly the ones that meet themselves
     rng = random.Random(seed)
     below_two = 0
     for idx in range(300):
         knot = random_turning_polygon(rng, 4 + idx % 10)
-        below_two += assert_matches_oracle(knot, knot.corners) < 2.0
+        s = smooth(knot)
+        below_two += refused_below_two(s) < 2.0
+        if validate_lattice(knot).ok:
+            assert rope_metrics(s).thickness_radius == 1.0
+        else:
+            with pytest.raises(KnotfoldError):
+                rope_metrics(s)
     assert below_two > 80
 
+
+def mirror_arc(record):
+    """The ARC record with the same ends and the other centre: it bulges the
+    other way, so its rope still closes up."""
+    c, u, v = (list(map(int, record.split()[k : k + 3])) for k in (1, 4, 7))
+    start, end = [a + b for a, b in zip(c, u)], [a + b for a, b in zip(c, v)]
+    centre = [a + b - x for a, b, x in zip(start, end, c)]
+    fields = centre + [a - x for a, x in zip(start, centre)] + [b - x for b, x in zip(end, centre)]
+    return "ARC " + " ".join(map(str, fields))
+
+
+@pytest.fixture(scope="module")
+def stage_texts(corpus_pipelines):
+    return [
+        export_geometry(smooth(res.stages[step].knot), "arcs").splitlines()
+        for _, res in corpus_pipelines
+        for step in (1, 2, 3)
+    ]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_arcs_text_is_refused_or_two_apart(stage_texts, data):
+    # one record of a corpus stage's .arcs.txt changes: one integer field
+    # moves by -3..3 (0 leaves the text as it was), or an arc turns into its
+    # mirror.  import_geometry or rope_metrics refuses the result, or the
+    # oracle finds every non-adjacent pair at least 2 apart
+    lines = list(data.draw(st.sampled_from(stage_texts)))
+    i = data.draw(st.integers(0, len(lines) - 1))
+    tokens = lines[i].split()
+    if tokens[0] == "ARC" and data.draw(st.booleans()):
+        lines[i] = mirror_arc(lines[i])
+    else:
+        j = data.draw(st.integers(1, len(tokens) - 1))
+        tokens[j] = str(int(tokens[j]) + data.draw(st.integers(-3, 3)))
+        lines[i] = " ".join(tokens)
+    try:
+        s = import_geometry("\n".join(lines) + "\n")
+    except KnotfoldError:
+        return
+    refused_below_two(s)
+
+
+def test_mirrored_arc_imports_but_is_refused(stage_texts):
+    # the mirror keeps the rope closed, so import_geometry takes it; its
+    # centre is not a rounded lattice corner, so rope_metrics refuses it
+    for lines in stage_texts:
+        mirrored = [mirror_arc(lines[0]), *lines[1:]]
+        s = import_geometry("\n".join(mirrored) + "\n")
+        with pytest.raises(KnotfoldError, match="doubled lattice polygon"):
+            rope_metrics(s)

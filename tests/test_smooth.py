@@ -1,13 +1,15 @@
+import itertools
 import math
 
 import pytest
 
 from knotfold.bounds import PiExpr, rop_step_bound, smooth_length_exact
-from knotfold.errors import BadDensity, DegenerateKnot, MalformedInput
+from knotfold.errors import BadDensity, DegenerateKnot, KnotfoldError, MalformedInput
 from knotfold.grid import parse_grid
 from knotfold.lattice import LatticeKnot, edge_census
 from knotfold.pipeline import run_pipeline
 from knotfold.rope import (
+    _MAX_ROPE_COORD,
     ArcPiece,
     StraightPiece,
     export_geometry,
@@ -90,11 +92,12 @@ class TestMetrics:
         assert m.thickness_radius == 1.0
 
     def test_self_crossing_rope_has_infinite_ropelength(self):
+        # the rope meets itself, so it has no positive thickness to report
         knot = LatticeKnot(
             ((0, 0, 0), (3, 0, 0), (3, 2, 0), (1, 2, 0), (1, 1, 0), (4, 1, 0), (4, 3, 0), (0, 3, 0))
         )
-        m = rope_metrics(smooth(knot))
-        assert m.thickness_radius == 0.0 and m.ropelength == math.inf
+        with pytest.raises(KnotfoldError, match="SelfIntersection"):
+            rope_metrics(smooth(knot))
 
     def test_unit_square_scan(self):
         # only the two opposite zero-length straights are non-adjacent
@@ -103,8 +106,8 @@ class TestMetrics:
 
 
     def test_long_sticks_scan_in_few_cells(self):
-        # a 2**48-long rectangle: hashing its straights into cells of side 4
-        # would need about 2**47 cells each
+        # a 2**48-long rectangle: the polygon check works on sticks, not on
+        # the 2**49 lattice points they pass
         n = 2**48
         m = rope_metrics(smooth(LatticeKnot(((0, 0, 0), (n, 0, 0), (n, 1, 0), (0, 1, 0)))))
         assert m.thickness_radius == 1.0
@@ -163,20 +166,37 @@ class TestExport:
             import_geometry("CIRCLE 1 2 3\n")
         with pytest.raises(MalformedInput):
             import_geometry("")
-        with pytest.raises(MalformedInput, match="2\\*\\*50"):
-            import_geometry(f"SEG {2**50 + 1} 0 0 0 0 0\n")
+        with pytest.raises(MalformedInput, match="2\\*\\*51 \\+ 1"):
+            import_geometry(f"SEG {2**51 + 2} 0 0 0 0 0\n")
 
     @pytest.mark.parametrize(
         "line",
-        ["nan 1 2", "inf -inf 0", "1e999 0 0", "0 -NaN 0", f"0 0 {2**50 + 1}", f"{-(2**51)}.5 0 0"],
+        ["nan 1 2", "inf -inf 0", "1e999 0 0", "0 -NaN 0", f"0 0 {2**51 + 2}", f"{-(2**51 + 1)}.5 0 0"],
     )
     def test_import_polyline_refuses_non_finite_or_huge(self, line):
-        with pytest.raises(MalformedInput, match="2\\*\\*50"):
+        with pytest.raises(MalformedInput, match="2\\*\\*51 \\+ 1"):
             import_polyline(f"0 0 0\n{line}\n")
 
     def test_import_polyline_reads_back_the_largest_coordinates(self):
         # the largest magnitudes import_geometry accepts
-        assert import_polyline(f"{2**50} {-(2**50)} 0\n") == [(2.0**50, -(2.0**50), 0.0)]
+        assert _MAX_ROPE_COORD == 2**51 + 1
+        big = float(_MAX_ROPE_COORD)
+        assert import_polyline(f"{2**51 + 1} {-(2**51 + 1)} 0\n") == [(big, -big, 0.0)]
+
+    def test_rope_of_a_knot_at_the_parse_limit_reads_back(self):
+        # parse_lattice takes corners up to 2**50 in magnitude, and both
+        # exports of the doubled rope must import again
+        for n, sign in itertools.product((2**50 - 1, 2**50), (1, -1)):
+            corners = ((n, 0), (n - 1, 0), (n - 1, 1), (n, 1))
+            s = smooth(LatticeKnot(tuple((sign * x, y, 0) for x, y in corners)))
+            assert import_geometry(export_geometry(s, "arcs")).pieces == s.pieces
+            verts = import_polyline(export_geometry(s, "polyline", density=8))
+            assert max(abs(v[0]) for v in verts) == 2 * n
+        past = 2**51 + 2
+        with pytest.raises(MalformedInput, match="beyond"):
+            import_geometry(f"SEG {past} 0 0 {past} 0 0\n")
+        with pytest.raises(MalformedInput, match="beyond"):
+            import_polyline(f"0 0 0\n0 {-past} 0\n")
 
     @pytest.mark.parametrize(
         "record",
